@@ -3,8 +3,9 @@
 The executor consumes the scheduler's dispatch order and settles every
 job against the result cache:
 
-* a key already in the cache is a **hit** — the job gets a private copy
-  of the memoized :class:`~repro.core.flow.FlowResult`;
+* a key already in the cache is a **hit** — the job gets the memoized
+  :class:`~repro.core.flow.FlowResult` (read-only; see
+  :mod:`repro.resil.store` for when it is shared);
 * a key already *in flight* (an identical design running right now in
   the pool) makes the job a **follower**: it waits for that execution
   and then reads the cache, so duplicate submissions never run twice
@@ -32,7 +33,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from ..core.flow import run_flow
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..pdk.pdks import get_pdk
-from .cache import ResultCache
+from ..resil.store import BlobStore
 from .queue import CampaignJob
 
 #: Execution-latency histogram bucket bounds (wall seconds).
@@ -71,7 +72,7 @@ class CampaignExecutor:
     def serial(self) -> bool:
         return self.workers <= 1
 
-    def run(self, ordered: list[CampaignJob], cache: ResultCache) -> float:
+    def run(self, ordered: list[CampaignJob], cache: BlobStore) -> float:
         """Execute every job; returns elapsed wall seconds."""
         start = time.perf_counter()
         if self.serial:
@@ -96,7 +97,7 @@ class CampaignExecutor:
         job.cache_hit = True
         job.result = result
 
-    def _settle_run(self, job: CampaignJob, cache: ResultCache,
+    def _settle_run(self, job: CampaignJob, cache: BlobStore,
                     result, exec_s: float) -> None:
         cache.put(job.key, result)
         job.status = "done"

@@ -47,8 +47,9 @@ from ..obs.trace import Span, Tracer, get_tracer
 from ..pdk.pdks import Pdk
 from ..pnr.physical import PhysicalDesign, implement
 from ..power.engine import PowerAnalyzer, PowerReport
-from ..resil.checkpoint import StageCheckpointer, flow_cache_key
+from ..resil.cachekey import flow_cache_key
 from ..resil.failure import FlowFailure, InjectedFault
+from ..resil.store import StageCheckpointer
 from ..sta.engine import TimingAnalyzer, TimingReport
 from ..synth.synthesize import SynthesisResult, synthesize
 from .options import FlowOptions
@@ -416,7 +417,7 @@ def run_flow(
     :class:`~repro.resil.failure.FlowFailure` to
     :attr:`FlowResult.failures` instead of raising, and every stage whose
     inputs still exist runs anyway.  ``options.checkpoints`` (a
-    :class:`~repro.resil.checkpoint.CheckpointStore`) saves each
+    :class:`~repro.resil.store.BlobStore`) saves each
     completed stage keyed by a content hash of (RTL, PDK, preset, seed);
     a re-run with the same store skips finished stages.
 

@@ -19,9 +19,9 @@ from ..ip.catalog import catalogue, generate
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import get_tracer
 from ..pdk.pdks import Pdk, get_pdk, list_pdks
-from ..resil.checkpoint import CheckpointStore, MemoryCheckpointStore
 from ..resil.failure import FlowFailure
 from ..resil.retry import ExponentialBackoff, RetryPolicy
+from ..resil.store import BlobStore, MemoryBlobStore
 from .cloud import CloudPlatform, estimate_job_minutes
 from .flow import FlowError, FlowResult, run_flow
 from .licensing import AccessDecision, User, evaluate_access
@@ -94,12 +94,10 @@ class EnablementHub:
     name: str = "eu-design-hub"
     cloud: CloudPlatform = field(default_factory=_default_cloud)
     retry_policy: RetryPolicy = field(default_factory=ExponentialBackoff)
-    checkpoints: CheckpointStore = field(
-        default_factory=MemoryCheckpointStore
-    )
-    #: Cross-tenant flow memoization store (repro.campaign.cache); built
-    #: lazily in ``__post_init__`` to keep the campaign import one-way.
-    result_cache: object = None
+    checkpoints: BlobStore = field(default_factory=MemoryBlobStore)
+    #: Cross-tenant flow memoization: the same store kind, keyed by
+    #: repro.campaign.cache.result_cache_key.
+    result_cache: BlobStore = field(default_factory=MemoryBlobStore)
     tracer: object = None
     metrics: MetricsRegistry | None = None
     _users: dict[str, Enrollment] = field(default_factory=dict)
@@ -111,10 +109,6 @@ class EnablementHub:
             self.tracer = get_tracer()
         if self.metrics is None:
             self.metrics = get_metrics()
-        if self.result_cache is None:
-            from ..campaign.cache import MemoryResultCache
-
-            self.result_cache = MemoryResultCache()
 
     # -- enrollment & access -------------------------------------------------
 

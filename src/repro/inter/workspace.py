@@ -230,7 +230,7 @@ class Workspace:
         :class:`FlowOptions`, a preset, a preset name, or ``None``); the
         preset's placer is overridden to the region-stable ``"hier"``
         placer, which both incremental and fallback rebuilds share.
-        ``cache`` (a :class:`~repro.campaign.cache.ResultCache`) serves
+        ``cache`` (a :class:`~repro.resil.store.BlobStore`) serves
         the opening flow from the campaign's memo when it already holds
         an identical request.
         """
@@ -251,7 +251,7 @@ class Workspace:
         tracer = tracer if tracer is not None else get_tracer()
         metrics = metrics if metrics is not None else get_metrics()
         session = EcoSession(metrics)
-        opts = opts.replace(
+        opts = opts.with_overrides(
             preset=replace(opts.preset, placer="hier"), eco=session
         )
 
@@ -394,7 +394,7 @@ class Workspace:
         self.metrics.counter("inter.fallbacks").inc()
         with self.tracer.span("inter.fallback", module=module_name) as sp:
             session = EcoSession(self.metrics)
-            opts = self.opts.replace(eco=session)
+            opts = self.opts.with_overrides(eco=session)
             result = run_flow(
                 new_top, self.pdk, options=opts,
                 tracer=self.tracer, metrics=self.metrics,

@@ -23,6 +23,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     get_metrics,
+    nearest_rank_p95,
     set_metrics,
 )
 from .report import (
@@ -61,6 +62,7 @@ __all__ = [
     "get_metrics",
     "get_tracer",
     "load_trace",
+    "nearest_rank_p95",
     "render_aggregate",
     "render_timeline",
     "render_trace",

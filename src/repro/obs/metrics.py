@@ -15,6 +15,7 @@ enough to leave permanently enabled.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
 
@@ -22,6 +23,18 @@ from bisect import bisect_left
 DEFAULT_TIME_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0
 )
+
+
+def nearest_rank_p95(values) -> float:
+    """The ceil(0.95 n)-th smallest value (0.0 for an empty list).
+
+    Nearest-rank, so n=1 yields the only sample and n=20 the 19th.
+    """
+    if not values:
+        return 0.0
+    ranked = sorted(values)
+    rank = math.ceil(0.95 * len(ranked))
+    return ranked[min(len(ranked) - 1, rank - 1)]
 
 
 class Counter:

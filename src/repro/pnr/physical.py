@@ -5,7 +5,7 @@ returned :class:`PhysicalDesign` carries everything signoff needs (routed
 wire lengths for STA/power, clock skew map, die geometry for GDS export).
 
 Each backend stage is individually checkpointable: pass a
-:class:`~repro.resil.checkpoint.StageCheckpointer` and every completed
+:class:`~repro.resil.store.StageCheckpointer` and every completed
 stage is serialized immediately, so a flow interrupted after placement
 resumes with the identical placement and only recomputes what is
 missing.  ``inject`` accepts a :class:`~repro.resil.faults.FaultInjector`
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Tracer, get_tracer
 from ..pdk.pdks import Pdk
-from ..resil.checkpoint import StageCheckpointer
+from ..resil.store import StageCheckpointer
 from ..resil.faults import FaultInjector
 from ..synth.mapped import MappedNetlist
 from .cts import ClockTree, synthesize_clock_tree

@@ -11,8 +11,9 @@ simulator and the flow runner:
 * :mod:`~repro.resil.retry` — pluggable :class:`RetryPolicy` with
   :class:`ExponentialBackoff` (jitter, caps, deadline-aware give-up),
   budgeted in simulated minutes;
-* :mod:`~repro.resil.checkpoint` — content-hash-keyed per-stage flow
-  checkpoints so a retried or resumed flow skips completed stages;
+* :mod:`~repro.resil.store` — the one content-addressed blob store:
+  per-stage flow checkpoints so a retried or resumed flow skips
+  completed stages, and memoized whole-flow results;
 * :mod:`~repro.resil.failure` — structured :class:`FlowFailure` records
   for graceful degradation and the :class:`InjectedFault` drill
   exception.
@@ -22,21 +23,21 @@ package, never the other way around.
 """
 
 from .cachekey import canonical, flow_cache_key
-from .checkpoint import (
-    CHECKPOINT_STAGES,
-    CheckpointStore,
-    DirectoryCheckpointStore,
-    MemoryCheckpointStore,
-    StageCheckpointer,
-)
 from .failure import FAILURE_KINDS, FlowFailure, InjectedFault
 from .faults import FaultInjector, FaultModel, FaultSampler
 from .retry import ExponentialBackoff, RetryPolicy
+from .store import (
+    CHECKPOINT_STAGES,
+    BlobStore,
+    DirectoryBlobStore,
+    MemoryBlobStore,
+    StageCheckpointer,
+)
 
 __all__ = [
+    "BlobStore",
     "CHECKPOINT_STAGES",
-    "CheckpointStore",
-    "DirectoryCheckpointStore",
+    "DirectoryBlobStore",
     "ExponentialBackoff",
     "FAILURE_KINDS",
     "FaultInjector",
@@ -44,7 +45,7 @@ __all__ = [
     "FaultSampler",
     "FlowFailure",
     "InjectedFault",
-    "MemoryCheckpointStore",
+    "MemoryBlobStore",
     "RetryPolicy",
     "StageCheckpointer",
     "canonical",

@@ -3,11 +3,15 @@
 :func:`flow_cache_key` answers "is this the same flow request?" for two
 consumers with different lifetimes:
 
-* :class:`~repro.resil.checkpoint.StageCheckpointer` — per-run stage
+* :class:`~repro.resil.store.StageCheckpointer` — per-run stage
   artifacts, so a retried or resumed flow skips completed stages;
-* the campaign result cache (:mod:`repro.campaign.cache`) — whole
-  :class:`~repro.core.flow.FlowResult` objects memoized *across* runs
-  and tenants, so identical student submissions return cached results.
+* the campaign result cache (:func:`repro.campaign.cache.result_cache_key`)
+  — whole :class:`~repro.core.flow.FlowResult` objects memoized *across*
+  runs and tenants, so identical student submissions return cached
+  results.
+
+Both consumers store their blobs in the one store of
+:mod:`repro.resil.store`.
 
 Keeping the implementation in one module is the contract: the two paths
 can never drift, because there is only one path.  The base payload is

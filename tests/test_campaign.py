@@ -1,6 +1,7 @@
 """Tests for repro.campaign: fair-share scheduling, the global result
 cache, serial-vs-process-pool equivalence, and the shared cache key."""
 
+import os
 import pickle
 
 import pytest
@@ -11,12 +12,11 @@ from repro.campaign import (
     DirectoryResultCache,
     FairShareScheduler,
     FifoScheduler,
-    MemoryResultCache,
     evaluate_schedule,
-    nearest_rank_p95,
     result_cache_key,
     result_signature,
 )
+from repro.campaign import cache as campaign_cache_module
 from repro.campaign.cache import RESULT_KEY_FIELDS
 from repro.core import (
     AccessTier,
@@ -28,16 +28,17 @@ from repro.core import (
     run_flow,
 )
 from repro.ip.digital import make_counter, make_gray_counter
-from repro.obs.metrics import MetricsRegistry
+from repro.core import flow as flow_module
+from repro.obs.metrics import MetricsRegistry, nearest_rank_p95
 from repro.pdk import get_pdk
 from repro.resil import (
-    DirectoryCheckpointStore,
+    DirectoryBlobStore,
     FaultInjector,
+    MemoryBlobStore,
     StageCheckpointer,
     flow_cache_key,
 )
 from repro.resil import cachekey as cachekey_module
-from repro.resil import checkpoint as checkpoint_module
 
 
 def counter_module(width: int = 4):
@@ -63,10 +64,12 @@ def build_campaign(copies: int = 3, tenants: int = 2, **kwargs) -> Campaign:
 
 class TestCacheKey:
     def test_checkpoint_and_campaign_share_one_implementation(self):
-        # The satellite contract: no drift is possible because the
-        # checkpoint path re-exports the one shared function.
-        assert checkpoint_module.flow_cache_key is cachekey_module.flow_cache_key
-        assert flow_cache_key is cachekey_module.flow_cache_key
+        # No drift is possible: the flow's checkpoint key and the
+        # campaign's result key call the one shared function.
+        shared = cachekey_module.flow_cache_key
+        assert flow_module.flow_cache_key is shared
+        assert campaign_cache_module.flow_cache_key is shared
+        assert flow_cache_key is shared
 
     def test_base_keys_identical_across_both_paths(self):
         module = counter_module()
@@ -111,13 +114,11 @@ class TestCacheKey:
         assert len(keys) == len(changed)
 
     def test_execution_only_knobs_do_not_change_the_key(self):
-        from repro.resil import MemoryCheckpointStore
-
         module = counter_module()
         plain = result_cache_key(module, "edu130", FlowOptions())
         wired = result_cache_key(
             module, "edu130",
-            FlowOptions(checkpoints=MemoryCheckpointStore(), resume=False),
+            FlowOptions(checkpoints=MemoryBlobStore(), resume=False),
         )
         assert plain == wired
         assert "checkpoints" not in RESULT_KEY_FIELDS
@@ -129,104 +130,88 @@ class TestCacheKey:
         ) != result_cache_key(counter_module(5), "edu130", options)
 
 
-# -- result cache backends --------------------------------------------------
+# -- the one blob store, both backends --------------------------------------
 
 
-class TestMemoryResultCache:
-    def run_result(self):
-        return run_flow(counter_module(), get_pdk("edu130"), FlowOptions())
+@pytest.fixture(scope="module")
+def flow_result():
+    return run_flow(counter_module(), get_pdk("edu130"), FlowOptions())
 
-    def test_hit_miss_accounting(self):
-        cache = MemoryResultCache()
+
+def stored_keys(store):
+    """Keys in the store, least-recently-used first."""
+    return [key for key, _ in store.entries()]
+
+
+class BlobStoreSuite:
+    """What every backend of the one store must do; each ``Test*``
+    subclass binds one backend through ``make``.  Result-cache
+    assertions go through ``get``/``put`` (the ``res`` stage), the
+    rest through stage ``load``/``save``."""
+
+    def make(self, tmp_path, **budget):
+        raise NotImplementedError
+
+    def test_hit_miss_accounting(self, tmp_path, flow_result):
+        cache = self.make(tmp_path)
         assert cache.get("k") is None
-        cache.put("k", self.run_result())
+        cache.put("k", flow_result)
         assert cache.get("k") is not None
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == 0.5
 
-    def test_hits_share_one_deserialized_instance(self):
-        # FlowResult is read-only downstream, so the default mode hands
-        # every hit the same object: a hit is a dict lookup, not an
-        # unpickle of the whole artifact graph.
-        cache = MemoryResultCache()
-        cache.put("k", self.run_result())
-        assert cache.get("k") is cache.get("k")
-
-    def test_put_decouples_cache_from_the_producer(self):
-        cache = MemoryResultCache()
-        produced = self.run_result()
+    def test_put_decouples_cache_from_the_producer(self, tmp_path,
+                                                   flow_result):
+        cache = self.make(tmp_path)
+        produced = pickle.loads(pickle.dumps(flow_result))
         cache.put("k", produced)
         produced.design_name = "mutated-after-put"
         assert cache.get("k").design_name != "mutated-after-put"
 
-    def test_private_copies_mode_isolates_readers(self):
-        cache = MemoryResultCache(private_copies=True)
-        cache.put("k", self.run_result())
-        first = cache.get("k")
-        first.design_name = "mutated"
-        assert cache.get("k").design_name != "mutated"
-        assert first is not cache.get("k")
+    def test_stage_artifact_is_a_private_copy(self, tmp_path):
+        # Later flow stages mutate what earlier ones produced: a loaded
+        # checkpoint must never alias the stored bytes.
+        store = self.make(tmp_path)
+        store.save("k", "placement", {"xs": [1, 2]})
+        loaded = store.load("k", "placement")
+        assert loaded == {"xs": [1, 2]}
+        loaded["xs"].append(3)
+        assert store.load("k", "placement") == {"xs": [1, 2]}
+        assert store.load("k", "placement") is not loaded
 
-    def test_lru_eviction_order(self):
-        cache = MemoryResultCache(max_entries=2)
-        result = self.run_result()
-        cache.put("a", result)
-        cache.put("b", result)
+    def test_lru_eviction_order(self, tmp_path, flow_result):
+        cache = self.make(tmp_path, max_entries=2)
+        cache.put("a", flow_result)
+        cache.put("b", flow_result)
         cache.get("a")  # refresh a: b is now the coldest
-        cache.put("c", result)
-        assert set(cache.keys()) == {"a", "c"}
+        cache.put("c", flow_result)
+        assert set(stored_keys(cache)) == {"a", "c"}
         assert cache.evictions == 1
+        assert len(cache.entries()) == 2
 
-    def test_max_bytes_evicts_cold_entries(self):
-        result = self.run_result()
-        blob = len(pickle.dumps(result, protocol=4))
-        cache = MemoryResultCache(max_bytes=2 * blob)
+    def test_max_bytes_evicts_cold_entries(self, tmp_path, flow_result):
+        blob = len(pickle.dumps(flow_result, protocol=4))
+        cache = self.make(tmp_path, max_bytes=2 * blob)
         for key in ("a", "b", "c"):
-            cache.put(key, result)
-        assert cache.keys() == ["b", "c"]
+            cache.put(key, flow_result)
+        assert stored_keys(cache) == ["b", "c"]
         assert cache.total_bytes() <= 2 * blob
 
-    def test_newest_entry_survives_even_when_oversized(self):
-        result = self.run_result()
-        cache = MemoryResultCache(max_bytes=1)
-        cache.put("only", result)
-        assert cache.keys() == ["only"]
+    def test_newest_entry_survives_even_when_oversized(self, tmp_path,
+                                                       flow_result):
+        cache = self.make(tmp_path, max_bytes=1)
+        cache.put("only", flow_result)
+        assert stored_keys(cache) == ["only"]
 
-
-class TestDirectoryResultCache:
-    def test_round_trip_across_instances(self, tmp_path):
-        result = run_flow(counter_module(), get_pdk("edu130"), FlowOptions())
-        root = str(tmp_path / "results")
-        DirectoryResultCache(root).put("k", result)
-        loaded = DirectoryResultCache(root).get("k")
-        assert loaded is not None
-        assert result_signature(loaded) == result_signature(result)
-
-    def test_lru_eviction_order(self, tmp_path):
-        result = run_flow(counter_module(), get_pdk("edu130"), FlowOptions())
-        cache = DirectoryResultCache(str(tmp_path), max_entries=2)
-        cache.put("a", result)
-        cache.put("b", result)
-        cache.get("a")
-        cache.put("c", result)
-        assert set(cache.keys()) == {"a", "c"}
-        assert cache.evictions == 1
-        assert len(cache) == 2
-
-
-# -- bounded checkpoint store (satellite) -----------------------------------
-
-
-class TestDirectoryCheckpointStoreLru:
     def test_unbounded_by_default(self, tmp_path):
-        store = DirectoryCheckpointStore(str(tmp_path))
+        store = self.make(tmp_path)
         for index in range(10):
             store.save(f"key{index}", "synthesis", {"n": index})
         assert store.evictions == 0
-        assert len(store._entries()) == 10
+        assert len(store.entries()) == 10
 
     def test_max_entries_evicts_least_recently_used(self, tmp_path):
-        store = DirectoryCheckpointStore(str(tmp_path), max_entries=2)
+        store = self.make(tmp_path, max_entries=2)
         store.save("k1", "synthesis", 1)
         store.save("k2", "synthesis", 2)
         store.load("k1", "synthesis")  # refresh k1: k2 is the coldest
@@ -237,40 +222,128 @@ class TestDirectoryCheckpointStoreLru:
         assert store.load("k3", "synthesis") == 3
 
     def test_eviction_strictly_follows_recency_order(self, tmp_path):
-        store = DirectoryCheckpointStore(str(tmp_path), max_entries=3)
+        store = self.make(tmp_path, max_entries=3)
         for key in ("a", "b", "c"):
             store.save(key, "synthesis", key)
         for key in ("c", "b", "a"):  # reversed recency
             store.load(key, "synthesis")
         store.save("d", "synthesis", "d")  # evicts c (coldest)
         store.save("e", "synthesis", "e")  # evicts b
-        survivors = {
-            key for key in ("a", "b", "c", "d", "e")
-            if store.has(key, "synthesis")
-        }
-        assert survivors == {"a", "d", "e"}
+        assert stored_keys(store) == ["a", "d", "e"]
 
     def test_max_bytes_budget(self, tmp_path):
-        store = DirectoryCheckpointStore(str(tmp_path), max_bytes=1)
+        store = self.make(tmp_path, max_bytes=1)
         store.save("k1", "synthesis", list(range(100)))
         store.save("k2", "synthesis", list(range(100)))
         # The just-written entry always survives, the cold one goes.
         assert store.load("k1", "synthesis") is None
         assert store.load("k2", "synthesis") is not None
 
-    def test_empty_key_directories_removed(self, tmp_path):
-        import os
-
-        store = DirectoryCheckpointStore(str(tmp_path), max_entries=1)
-        store.save("k1", "synthesis", 1)
-        store.save("k2", "synthesis", 2)
-        assert not os.path.isdir(str(tmp_path / "k1"))
+    def test_budget_counts_every_stage(self, tmp_path):
+        store = self.make(tmp_path, max_entries=2)
+        store.save("k", "synthesis", 1)
+        store.save("k", "placement", 2)
+        store.put("k", 3)
+        assert store.entries() == [("k", "placement"), ("k", "res")]
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            DirectoryCheckpointStore(str(tmp_path), max_entries=0)
+            self.make(tmp_path, max_entries=0)
         with pytest.raises(ValueError):
-            DirectoryCheckpointStore(str(tmp_path), max_bytes=0)
+            self.make(tmp_path, max_bytes=0)
+        with pytest.raises(ValueError):
+            self.make(tmp_path).save("k", "nonsense", 1)
+
+
+class TestMemoryResultCache(BlobStoreSuite):
+    """The in-memory backend: hub retries and the default result cache."""
+
+    def make(self, tmp_path, **budget):
+        return MemoryBlobStore(**budget)
+
+    def test_hits_share_one_deserialized_instance(self, tmp_path,
+                                                  flow_result):
+        # FlowResult is read-only downstream, so every in-memory result
+        # hit gets the same object: a hit is a dict lookup, not an
+        # unpickle of the whole artifact graph.
+        cache = self.make(tmp_path)
+        cache.put("k", flow_result)
+        assert cache.get("k") is cache.get("k")
+
+
+class TestDirectoryResultCache(BlobStoreSuite):
+    """The directory backend: ``--checkpoint-dir`` and the shared
+    semester cache (``repro.campaign.DirectoryResultCache``)."""
+
+    def make(self, tmp_path, **budget):
+        return DirectoryBlobStore(tmp_path / "store", **budget)
+
+    def test_historical_name_is_the_directory_backend(self):
+        assert DirectoryResultCache is DirectoryBlobStore
+
+    def test_round_trip_across_instances(self, tmp_path, flow_result):
+        root = str(tmp_path / "results")
+        DirectoryResultCache(root).put("k", flow_result)
+        loaded = DirectoryResultCache(root).get("k")
+        assert loaded is not None
+        assert result_signature(loaded) == result_signature(flow_result)
+
+    def test_blob_path_is_flat_key_dot_stage(self, tmp_path, flow_result):
+        store = self.make(tmp_path)
+        store.put("k", flow_result)
+        store.save("k", "placement", 1)
+        root = tmp_path / "store"
+        assert sorted(os.listdir(root)) == ["k.placement", "k.res"]
+        assert (root / "k.res").read_bytes() == pickle.dumps(
+            flow_result, protocol=4
+        )
+
+    def test_truncated_result_blob_is_a_miss(self, tmp_path, flow_result):
+        store = self.make(tmp_path)
+        store.put("k", flow_result)
+        path = tmp_path / "store" / "k.res"
+        path.write_bytes(path.read_bytes()[:100])
+        assert store.get("k") is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert not path.exists()
+        store.put("k", flow_result)
+        assert store.get("k") is not None
+
+    def test_truncated_checkpoint_is_a_miss(self, tmp_path):
+        store = self.make(tmp_path)
+        store.save("k", "placement", {"cells": list(range(50))})
+        path = tmp_path / "store" / "k.placement"
+        path.write_bytes(path.read_bytes()[:-7])
+        assert DirectoryBlobStore(tmp_path / "store").load(
+            "k", "placement") is None
+        assert not path.exists()
+
+    def test_temp_and_stray_files_are_not_entries(self, tmp_path):
+        root = tmp_path / "store"
+        store = self.make(tmp_path, max_entries=1)
+        store.save("k1", "synthesis", 1)
+        (root / ".k2.routing.123.tmp").write_bytes(b"half a blob")
+        (root / "notes.txt").write_text("not a blob")
+        (root / "oldkey").mkdir()  # the earlier per-key layout
+        (root / "oldkey" / "routing.ckpt").write_bytes(b"")
+        assert store.entries() == [("k1", "synthesis")]
+        store.save("k3", "synthesis", 3)
+        assert store.entries() == [("k3", "synthesis")]
+        assert sorted(os.listdir(root)) == [
+            ".k2.routing.123.tmp", "k3.synthesis", "notes.txt", "oldkey",
+        ]
+
+    def test_inherited_entries_are_colder_ordered_by_mtime(self, tmp_path):
+        earlier = self.make(tmp_path)
+        earlier.save("new", "synthesis", 1)
+        earlier.save("old", "synthesis", 2)
+        root = tmp_path / "store"
+        os.utime(root / "old.synthesis", (1_000, 1_000))
+        os.utime(root / "new.synthesis", (2_000, 2_000))
+        store = self.make(tmp_path, max_entries=2)
+        store.save("fresh", "synthesis", 3)
+        assert stored_keys(store) == ["new", "fresh"]
+        assert store.evictions == 1
 
 
 # -- scheduler invariants ---------------------------------------------------
@@ -454,7 +527,7 @@ class TestCampaignEngine:
         )
 
     def test_shared_cache_spans_campaigns(self):
-        cache = MemoryResultCache()
+        cache = MemoryBlobStore()
         build_campaign(copies=2, cache=cache).run()
         second = build_campaign(copies=2, cache=cache)
         report = second.run()

@@ -165,7 +165,7 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="formal_lec"):
             Workspace.open(
                 build_minisoc(), get_pdk("edu130"),
-                options=OPTIONS.replace(formal_lec=True),
+                options=OPTIONS.with_overrides(formal_lec=True),
             )
 
     def test_clean_edit_keeps_committed_result(self, warm):
