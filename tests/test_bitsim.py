@@ -14,16 +14,23 @@ simulators they replace.  These tests pin that down three ways:
   batched LEC replay must agree with scalar replay witness by witness.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.formal import check_lec, mutate_netlist, replay_counterexamples
-from repro.formal.lec import PACKED_REPLAY_MIN, _replay_counterexample_scalar
+from repro.formal import (
+    Counterexample,
+    check_lec,
+    mutate_netlist,
+    replay_counterexample,
+    replay_counterexamples,
+)
 from repro.hdl import ModuleBuilder, mux
-from repro.ip.catalog import generate
+from repro.ip.catalog import catalogue, generate
 from repro.pdk import get_pdk
 from repro.sim import Simulator
 from repro.sim.bitsim import (
@@ -46,6 +53,8 @@ from repro.synth import (
     optimize,
     synthesize,
 )
+from repro.synth.netlist import Gate, GateNetlist
+from repro.synth.verify import Mismatch, replay_mismatch
 
 
 @pytest.fixture(scope="module")
@@ -237,40 +246,118 @@ def build_random_module(seed):
 # ---------------------------------------------------------------------------
 
 
-EQUIV_DESIGNS = ("counter", "gray_counter", "alu", "uart_tx", "fir")
+#: Results captured from the scalar lockstep engines before they were
+#: retired: ``EquivalenceResult.to_json()`` for every catalogue design
+#: (lowered and mapped), seeded ``mutate_netlist`` mutants of counter,
+#: alu, pwm and uart_tx with their LEC witnesses (whole and with only
+#: some registers and inputs named) and replay verdicts, and hand-built
+#: netlists whose flops carry no register names.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "equivalence_golden.json").read_text()
+)
+
+
+def golden_impl(module, kind, library):
+    if kind == "lower":
+        return lower(module)
+    return synthesize(module, library, verify=False).mapped
+
+
+def golden_mutants(library):
+    """``(key, module, base, mutant, record)`` for every golden mutant."""
+    bases = {}
+    for key, record in GOLDEN["mutants"].items():
+        name, kind, seed = key.split("/")
+        if (name, kind) not in bases:
+            module = generate(name).module
+            bases[name, kind] = module, golden_impl(module, kind, library)
+        module, base = bases[name, kind]
+        mutant, description = mutate_netlist(base, seed=int(seed))
+        assert description == record["description"], key
+        yield key, module, base, mutant, record
+
+
+def counter4():
+    b = ModuleBuilder("counter4")
+    en = b.input("en", 1)
+    count = b.register("count", 4)
+    count.next = mux(en, (count + 1).trunc(4), count)
+    b.output("q", count)
+    return b.build()
+
+
+def handbuilt_counter4(carry_op="AND"):
+    """A 4-bit counter whose flops have no register names.
+
+    ``carry_op="OR"`` breaks the carry out of bit 1.
+    """
+    n = GateNetlist("counter4_hand")
+    (en,) = n.add_input("en", 1)
+    d_nets = [n.new_net() for _ in range(4)]
+    qs = [n.add_dff(d) for d in d_nets]
+    carry = en
+    for i, q in enumerate(qs):
+        total = n.add_gate("XOR", q, carry)
+        n.gates.append(Gate("BUF", (total,), d_nets[i]))
+        carry = n.add_gate(carry_op if i == 1 else "AND", q, carry)
+    n.set_output("q", qs)
+    return n
+
+
+def golden_check(module, impl):
+    return check_equivalence(
+        module, impl, cycles=GOLDEN["cycles"], seed=GOLDEN["seed"]
+    ).to_json()
 
 
 class TestEquivalenceEngines:
-    @pytest.mark.parametrize("name", EQUIV_DESIGNS)
+    @pytest.mark.parametrize("name", catalogue())
     def test_passing_results_byte_identical(self, name, library):
-        module = generate(name).module
-        for impl in (
-            lower(module),
-            synthesize(module, library, verify=False).mapped,
-        ):
-            scalar = check_equivalence(
-                module, impl, cycles=96, seed=5, engine="scalar")
-            packed = check_equivalence(
-                module, impl, cycles=96, seed=5, engine="packed")
-            assert scalar.passed
-            assert packed.to_json() == scalar.to_json()
+        block = generate(name)
+        for kind in ("lower", "mapped"):
+            impl = golden_impl(block.module, kind, library)
+            result = golden_check(block.module, impl)
+            assert json.loads(result)["passed"]
+            assert result == GOLDEN["equivalence"][f"{block.name}/{kind}"]
 
     def test_mutated_netlists_byte_identical(self, library):
         """Must-fail path: mismatch records match field for field."""
-        module = generate("counter").module
-        mapped = synthesize(module, library, verify=False).mapped
-        failing = 0
-        for seed in range(10):
-            mutant, _ = mutate_netlist(mapped, seed=seed)
-            scalar = check_equivalence(
-                module, mutant, cycles=96, seed=5, engine="scalar")
-            packed = check_equivalence(
-                module, mutant, cycles=96, seed=5, engine="packed")
-            assert packed.to_json() == scalar.to_json()
-            if not scalar.passed:
+        failing = capped = 0
+        for key, module, _, mutant, record in golden_mutants(library):
+            result = check_equivalence(
+                module, mutant, cycles=GOLDEN["cycles"], seed=GOLDEN["seed"]
+            )
+            assert result.to_json() == record["result"], key
+            if not result.passed:
                 failing += 1
-                assert packed.mismatches  # records survived the fallback
+                assert result.mismatches
+            capped += len(result.mismatches) == result.mismatch_cap
+            replays = [
+                replay_mismatch(module, mutant, m) for m in result.mismatches
+            ]
+            assert [
+                None if r is None else r.to_dict() for r in replays
+            ] == record["replay_mismatch"], key
         assert failing, "no mutation produced a detectable mismatch"
+        assert capped, "no mutation reached the mismatch cap"
+
+    def test_unnamed_flops_take_the_lockstep_loop(self, library):
+        """Netlists whose state the RTL registers cannot force."""
+        module = counter4()
+        golden = GOLDEN["handbuilt"]
+        assert golden_check(module, handbuilt_counter4()) == golden["gate"]
+        assert (
+            golden_check(module, handbuilt_counter4("OR"))
+            == golden["gate_broken"]
+        )
+        mapped = synthesize(module, library, verify=False).mapped
+        for inst in mapped.seq_cells:
+            inst.tag = ""
+        assert golden_check(module, mapped) == golden["mapped_untagged"]
+        mutant, _ = mutate_netlist(mapped, seed=1)
+        assert (
+            golden_check(module, mutant) == golden["mapped_untagged_mutant"]
+        )
 
     def test_auto_engine_matches_scalar(self, library):
         module = generate("lfsr").module
@@ -293,33 +380,53 @@ class TestEquivalenceEngines:
 
 
 # ---------------------------------------------------------------------------
-# Batched LEC replay vs scalar replay
+# Batched LEC replay vs the golden scalar verdicts
 # ---------------------------------------------------------------------------
+
+
+def verdicts(mismatches):
+    return [
+        None if m is None
+        else {"output": m.output, "expect": m.expect, "got": m.got}
+        for m in mismatches
+    ]
 
 
 class TestBatchedReplay:
     def test_batch_matches_scalar_witness_by_witness(self, library):
-        module = generate("counter").module
-        mapped = synthesize(module, library, verify=False).mapped
         checked = 0
-        for seed in range(8):
-            mutant, _ = mutate_netlist(mapped, seed=seed)
-            result = check_lec(module, mutant)
-            if result.equivalent:
+        for key, module, base, mutant, record in golden_mutants(library):
+            cexes = [Counterexample.from_dict(w) for w in record["witnesses"]]
+            if not cexes:
                 continue
-            cexes = result.counterexamples
-            # Tile past the packed threshold so the packed path runs.
-            batch = (cexes * PACKED_REPLAY_MIN)[:max(
-                PACKED_REPLAY_MIN, len(cexes))]
-            packed = replay_counterexamples(module, mutant, batch)
-            for cex, mismatch in zip(batch, packed):
-                scalar = _replay_counterexample_scalar(module, mutant, cex)
-                assert (mismatch is None) == (scalar is None)
-                if mismatch is not None:
-                    assert mismatch.output == scalar.output
-                    assert mismatch.expect == scalar.expect
-                    assert mismatch.got == scalar.got
-                checked += 1
+            for impl, golden in (
+                (mutant, record["replay"]), (base, record["replay_base"])
+            ):
+                assert verdicts(
+                    replay_counterexamples(module, impl, cexes)
+                ) == golden, key
+                # One witness per lane: a tiled batch repeats the verdicts.
+                assert verdicts(
+                    replay_counterexamples(module, impl, cexes * 5)
+                ) == golden * 5, key
+                assert verdicts(
+                    [replay_counterexample(module, impl, cexes[0])]
+                ) == golden[:1], key
+            # Witnesses naming only some registers and inputs replay
+            # from reset values and zero inputs, lane by lane.
+            partials = [
+                Counterexample.from_dict(w)
+                for w in record["partial_witnesses"]
+            ]
+            mixed = [c for pair in zip(cexes, partials) for c in pair]
+            want = [
+                v for pair in zip(record["replay"], record["partial_replay"])
+                for v in pair
+            ]
+            assert verdicts(
+                replay_counterexamples(module, mutant, mixed)
+            ) == want, key
+            checked += len(cexes)
         assert checked, "no mutation yielded replayable counterexamples"
 
     def test_reset_kind_rejected(self, library):
@@ -336,3 +443,60 @@ class TestBatchedReplay:
         )
         with pytest.raises(ValueError):
             replay_counterexamples(module, mutant, [fake])
+
+
+# ---------------------------------------------------------------------------
+# Malformed input fails the same way on every path
+# ---------------------------------------------------------------------------
+
+
+class TestMalformedInput:
+    def test_narrow_impl_port_rejected(self, library):
+        module = generate("alu").module
+        gate = lower(module)
+        gate.inputs["a"] = gate.inputs["a"][:7]
+        with pytest.raises(ValueError, match="'a'"):
+            check_equivalence(module, gate)
+        mapped = synthesize(module, library, verify=False).mapped
+        mapped.set_port("input", "a", mapped.inputs["a"][:7])
+        with pytest.raises(ValueError, match="'a'"):
+            check_equivalence(module, mapped)
+        mismatch = Mismatch(0, "y", 0, 0, {"a": 200, "b": 1, "op": 0})
+        with pytest.raises(ValueError, match="'a'"):
+            replay_mismatch(module, mapped, mismatch)
+
+    @pytest.mark.parametrize("copies", (1, 5))
+    def test_narrow_impl_port_rejected_in_replay(self, copies):
+        module = generate("alu").module
+        gate = lower(module)
+        gate.inputs["a"] = gate.inputs["a"][:7]
+        cex = Counterexample("y", "output", {"a": 200, "b": 1, "op": 0})
+        with pytest.raises(ValueError, match="'a'"):
+            replay_counterexamples(module, gate, [cex] * copies)
+
+    @pytest.mark.parametrize("copies", (1, 5))
+    def test_unknown_register_in_witness(self, copies):
+        module = generate("counter").module
+        cex = Counterexample("q", "output", {}, {"bogus": 1})
+        with pytest.raises(KeyError, match="bogus"):
+            replay_counterexamples(module, lower(module), [cex] * copies)
+
+    @pytest.mark.parametrize("copies", (1, 5))
+    def test_unknown_input_in_witness(self, copies):
+        module = generate("counter").module
+        cex = Counterexample("q", "output", {"nope": 1}, {})
+        with pytest.raises(KeyError, match="nope"):
+            replay_counterexamples(module, lower(module), [cex] * copies)
+
+    def test_unknown_register_in_mismatch_replay(self):
+        module = generate("counter").module
+        with pytest.raises(KeyError, match="bogus"):
+            replay_mismatch(
+                module, lower(module), Mismatch(0, "q", 0, 0, {}, {"bogus": 1})
+            )
+        # Flops without register names cannot take a register state.
+        with pytest.raises(KeyError, match="count"):
+            replay_mismatch(
+                counter4(), handbuilt_counter4(),
+                Mismatch(0, "q", 0, 0, {"en": 1}, {"count": 3}),
+            )
