@@ -43,20 +43,12 @@ from dataclasses import dataclass, field
 from ..hdl.ir import Module
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Tracer, get_tracer
-from ..sim.bitsim import (
-    LANES,
-    PackedGateSimulator,
-    PackedMappedSimulator,
-    PackedRtlSimulator,
-    PackedSimError,
-    extract_lane,
-    pack_word,
-)
+from ..sim.bitsim import LANES, extract_lane, pack_word
 from ..sim.engine import Simulator
 from ..synth.lower import lower
-from ..synth.mapped import MappedNetlist, MappedSimulator
-from ..synth.netlist import Gate, GateNetlist, GateSimulator
-from ..synth.verify import Mismatch
+from ..synth.mapped import MappedNetlist
+from ..synth.netlist import Gate, GateNetlist
+from ..synth.verify import Mismatch, packed_simulator
 from .aig import FALSE, Aig, CombCones, build_cones, word_value
 from .cnf import tseitin
 from .sat import CdclSolver, SolverStats
@@ -518,7 +510,9 @@ def lec_flow(
     * ``post_synthesis`` — RTL vs the freshly lowered (unoptimized)
       gate netlist: does bit-blasting preserve the IR semantics?
     * ``post_opt`` — RTL vs the optimized netlist: did the rewrite
-      passes stay sound?
+      passes stay sound?  Skipped when ``synth.netlist`` is ``None``
+      (a :class:`~repro.inter.Workspace` result stitches mapped shards
+      and keeps no flat gate netlist).
     * ``post_mapping`` — RTL vs the technology-mapped cells: did
       pattern matching and sizing keep the logic?
     """
@@ -527,10 +521,11 @@ def lec_flow(
         module, lower(module), max_conflicts=max_conflicts,
         tracer=tracer, metrics=metrics,
     )
-    report.checks["post_opt"] = check_lec(
-        module, synth.netlist, max_conflicts=max_conflicts,
-        tracer=tracer, metrics=metrics,
-    )
+    if synth.netlist is not None:
+        report.checks["post_opt"] = check_lec(
+            module, synth.netlist, max_conflicts=max_conflicts,
+            tracer=tracer, metrics=metrics,
+        )
     report.checks["post_mapping"] = check_lec(
         module, synth.mapped, max_conflicts=max_conflicts,
         tracer=tracer, metrics=metrics,
@@ -542,20 +537,14 @@ def lec_flow(
 # Counterexample replay + netlist mutation (the self-test of the prover)
 # ---------------------------------------------------------------------------
 
-#: Below this batch size the packed replay path costs more to set up
-#: (lowering the RTL, building two packed simulators) than it saves;
-#: measured crossover is ~4 witnesses on the catalogue designs.
-PACKED_REPLAY_MIN = 4
-
-
 def replay_counterexample(
     module: Module,
     implementation: GateNetlist | MappedNetlist,
     cex: Counterexample,
 ) -> Mismatch | None:
-    """Replay a formal counterexample on the lockstep simulators.
+    """Replay a formal counterexample in simulation.
 
-    Loads ``cex.state`` into both the RTL and gate-level simulators,
+    Loads ``cex.state`` into the RTL simulator and a packed engine,
     applies ``cex.inputs``, and compares the witnessed cone: the output
     directly for output cones, the register word after one clock edge
     for next-state cones.  Returns a :class:`Mismatch` when the
@@ -570,60 +559,12 @@ def replay_counterexample(
     return replay_counterexamples(module, implementation, [cex])[0]
 
 
-def _replay_counterexample_scalar(
-    module: Module,
-    implementation: GateNetlist | MappedNetlist,
-    cex: Counterexample,
-) -> Mismatch | None:
-    """One-at-a-time replay on the scalar simulators (reference path)."""
-    rtl = Simulator(module)
-    if isinstance(implementation, GateNetlist):
-        gate = GateSimulator(implementation)
-    elif isinstance(implementation, MappedNetlist):
-        gate = MappedSimulator(implementation)
-    else:
-        raise TypeError(
-            f"cannot simulate implementation {type(implementation)!r}"
-        )
-    if cex.state:
-        rtl.load_state(cex.state)
-        gate.load_state(cex.state)
-    for name, value in cex.inputs.items():
-        rtl.set(name, value)
-        gate.set(name, value)
-    if cex.kind == "output":
-        want, got = rtl.get(cex.cone), gate.get(cex.cone)
-    else:
-        register = cex.cone[len("next("):-1]
-        rtl.step()
-        gate.step()
-        want, got = rtl.get_register(register), gate.get_register(register)
-    if want == got:
-        return None
-    return Mismatch(0, cex.cone, want, got, dict(cex.inputs),
-                    dict(cex.state))
-
-
-def _packed_replay_sims(module, implementation):
-    rtl = PackedRtlSimulator(module)
-    if isinstance(implementation, GateNetlist):
-        gate = PackedGateSimulator(implementation)
-    elif isinstance(implementation, MappedNetlist):
-        gate = PackedMappedSimulator(implementation)
-    else:
-        raise TypeError(
-            f"cannot simulate implementation {type(implementation)!r}"
-        )
-    return rtl, gate
-
-
 def _packed_state_words(resets, chunk) -> dict[str, list[int]]:
     """Per-lane register words: lane ``l`` holds counterexample ``l``'s
     recorded state, defaulting to the simulator's own reset value for
-    registers the witness does not constrain (exactly what the scalar
-    replay's fresh-simulator-plus-``load_state`` sequence produces).
-    State names the simulator does not know pass through so its
-    ``load_state`` raises the same ``KeyError`` the scalar path would.
+    registers the witness does not constrain (what a fresh simulator
+    plus ``load_state`` holds).  State names the simulator does not
+    know pass through so its ``load_state`` raises ``KeyError``.
     """
     names = set(resets)
     for cex in chunk:
@@ -636,6 +577,19 @@ def _packed_state_words(resets, chunk) -> dict[str, list[int]]:
     return words
 
 
+def _rtl_verdict(rtl: Simulator, cex: Counterexample) -> int:
+    """The RTL value of one witness's cone, from a reset simulator."""
+    rtl.reset()
+    rtl.load_state(cex.state)
+    rtl.set_many({
+        **{sig.name: 0 for sig in rtl.module.inputs}, **cex.inputs
+    })
+    if cex.kind == "output":
+        return rtl.get(cex.cone)
+    rtl.step()
+    return rtl.get_register(cex.cone[len("next("):-1])
+
+
 def replay_counterexamples(
     module: Module,
     implementation: GateNetlist | MappedNetlist,
@@ -645,24 +599,19 @@ def replay_counterexamples(
 ) -> list[Mismatch | None]:
     """Replay a batch of counterexamples through packed simulation.
 
-    Each witness occupies one lane of a word-parallel run
-    (:mod:`repro.sim.bitsim`): lane ``l``'s register state and inputs
-    are counterexample ``l``'s, so up to 64 replays cost one load, one
-    settle and one clock edge.  Output cones are compared before the
-    edge, next-state cones after it; the per-lane verdicts match the
-    scalar :func:`replay_counterexample` bit for bit (the differential
-    tests pin this).  Designs the packed engines cannot build (exotic
-    hand-built netlists) fall back to scalar replay per witness.
+    Each witness occupies one lane of a word-parallel run of the
+    implementation (:mod:`repro.sim.bitsim`): lane ``l``'s register
+    state and inputs are counterexample ``l``'s, so up to 64 replays
+    cost one load, one settle and one clock edge.  Output cones are
+    compared before the edge, next-state cones after it.  The reference
+    side is the RTL :class:`~repro.sim.Simulator`, one witness at a
+    time: reset, ``load_state``, then every input driven, 0 for inputs
+    the witness does not name.
 
     Returns one entry per counterexample: a :class:`Mismatch` when the
     disagreement reproduces, ``None`` when it does not.  ``reset``-kind
     counterexamples are not replayable (no stimulus reaches a reset
-    value) and raise ``ValueError``, as in the scalar path.
-
-    Batches smaller than :data:`PACKED_REPLAY_MIN` replay through the
-    scalar path directly: building the packed simulators (including
-    lowering the RTL) costs more than a couple of scalar replays, so
-    packing only pays once several witnesses share one netlist.
+    value) and raise ``ValueError``.
     """
     if tracer is None:
         tracer = get_tracer()
@@ -673,28 +622,15 @@ def replay_counterexamples(
             raise ValueError(f"cannot replay a {cex.kind!r} counterexample")
     if not cexes:
         return []
-    if len(cexes) < PACKED_REPLAY_MIN:
-        return [
-            _replay_counterexample_scalar(module, implementation, cex)
-            for cex in cexes
-        ]
-    try:
-        rtl, gate = _packed_replay_sims(module, implementation)
-    except PackedSimError:
-        return [
-            _replay_counterexample_scalar(module, implementation, cex)
-            for cex in cexes
-        ]
-
+    rtl = Simulator(module)
+    gate = packed_simulator(implementation)
     # Reset values captured once, before any lane is forced: they are
     # the defaults for registers a witness leaves unconstrained.
-    reset_words = [
-        {
-            name: extract_lane(sim.get_register(name), 0)
-            for name in sim.register_words()
-        }
-        for sim in (rtl, gate)
-    ]
+    resets = {
+        name: extract_lane(gate.get_register(name), 0)
+        for name in gate.register_words()
+    }
+    widths = gate.input_widths()
     results: list[Mismatch | None] = []
     with tracer.span(
         "sim.packed.replay", design=getattr(module, "name", "design"),
@@ -702,56 +638,48 @@ def replay_counterexamples(
     ):
         for base in range(0, len(cexes), LANES):
             chunk = cexes[base:base + LANES]
-            for sim, resets in zip((rtl, gate), reset_words):
-                # Force every register word and drive every input so no
-                # lane inherits values from a previous chunk; inputs a
-                # witness does not name are 0, as on a fresh simulator.
-                sim.load_state(
-                    _packed_state_words(resets, chunk), settle=False
+            expected = [_rtl_verdict(rtl, cex) for cex in chunk]
+            # Force every register word and drive every input so no
+            # lane inherits values from a previous chunk; inputs a
+            # witness does not name are 0, as on a fresh simulator.
+            gate.load_state(_packed_state_words(resets, chunk), settle=False)
+            for cex in chunk:
+                for name, value in cex.inputs.items():
+                    if name not in widths:
+                        raise KeyError(
+                            f"no input named {name!r} to replay into"
+                        )
+                    if value >> widths[name]:
+                        raise ValueError(
+                            f"value {value} does not fit input "
+                            f"{name!r} ({widths[name]} bits)"
+                        )
+            gate.set_many({
+                name: pack_word(
+                    [cex.inputs.get(name, 0) for cex in chunk], width
                 )
-                widths = sim.input_widths()
-                for cex in chunk:
-                    for name, value in cex.inputs.items():
-                        if name not in widths:
-                            raise KeyError(
-                                f"no input named {name!r} to replay into"
-                            )
-                        if value >> widths[name]:
-                            raise ValueError(
-                                f"value {value} does not fit input "
-                                f"{name!r} ({widths[name]} bits)"
-                            )
-                sim.set_many({
-                    name: pack_word(
-                        [cex.inputs.get(name, 0) for cex in chunk], width
-                    )
-                    for name, width in widths.items()
-                })
+                for name, width in widths.items()
+            })
             # Output cones read before the clock edge...
-            verdicts: list[tuple[int, int] | None] = [None] * len(chunk)
+            got: list[int] = [0] * len(chunk)
             for lane, cex in enumerate(chunk):
                 if cex.kind == "output":
-                    verdicts[lane] = (
-                        extract_lane(rtl.get(cex.cone), lane),
-                        extract_lane(gate.get(cex.cone), lane),
-                    )
+                    got[lane] = extract_lane(gate.get(cex.cone), lane)
             # ...next-state cones after it.
             if any(cex.kind == "state" for cex in chunk):
-                rtl.step()
                 gate.step()
                 for lane, cex in enumerate(chunk):
                     if cex.kind == "state":
                         register = cex.cone[len("next("):-1]
-                        verdicts[lane] = (
-                            extract_lane(rtl.get_register(register), lane),
-                            extract_lane(gate.get_register(register), lane),
+                        got[lane] = extract_lane(
+                            gate.get_register(register), lane
                         )
-            for cex, (want, got) in zip(chunk, verdicts):
-                if want == got:
+            for cex, want, value in zip(chunk, expected, got):
+                if want == value:
                     results.append(None)
                 else:
                     results.append(Mismatch(
-                        0, cex.cone, want, got, dict(cex.inputs),
+                        0, cex.cone, want, value, dict(cex.inputs),
                         dict(cex.state),
                     ))
     metrics.counter("sim.packed.replays").inc(len(cexes))

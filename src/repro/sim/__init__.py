@@ -1,11 +1,11 @@
-"""Simulation: RTL simulator, waveform tracing, testbench harness,
-and the word-parallel (bit-packed) engines."""
+"""Simulation: the RTL simulator (the reference every netlist is
+checked against), waveform tracing, the testbench harness, and the
+word-parallel (bit-packed) gate and standard-cell engines."""
 
 from .bitsim import (
     LANES,
     PackedGateSimulator,
     PackedMappedSimulator,
-    PackedRtlSimulator,
     PackedSimError,
     broadcast_word,
     extract_lane,
@@ -21,7 +21,6 @@ __all__ = [
     "LANES",
     "PackedGateSimulator",
     "PackedMappedSimulator",
-    "PackedRtlSimulator",
     "PackedSimError",
     "Simulator",
     "Testbench",

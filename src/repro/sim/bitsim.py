@@ -1,11 +1,11 @@
 """Word-parallel (bit-packed) logic simulation.
 
-The scalar simulators evaluate one test vector at a time: every gate
-costs one Python-level operation per vector.  This module packs
-``W = 64`` *independent* vectors into one Python int per signal **bit**
-— lane ``l`` of the word is the value of that bit under vector ``l`` —
-and evaluates gates with bitwise operations, so one ``&``/``|``/``^``
-simulates all 64 vectors at once.  This is the classic PPSFP technique
+Evaluating one test vector at a time costs every gate one Python-level
+operation per vector.  This module packs up to ``W = 64``
+*independent* vectors into one Python int per signal **bit** — lane
+``l`` of the word is the value of that bit under vector ``l`` — and
+evaluates gates with bitwise operations, so one ``&``/``|``/``^``
+simulates all of them at once.  This is the classic PPSFP technique
 from EDA fault simulators, and it is pure-Python friendly because
 Python ints are arbitrary-width bit vectors.
 
@@ -17,25 +17,25 @@ first (the same bit ordering the netlists use): ``words[i]`` holds bit
 ``i`` of the signal across all lanes, with lane ``l`` in bit ``l`` of
 the int.  :func:`pack_word` transposes a list of per-lane scalar values
 into this layout, :func:`unpack_word` transposes back, and
-:func:`extract_lane` recovers the single scalar value of one lane — the
-mismatch-localization primitive the equivalence checker uses to hand a
-failing lane back to the scalar simulators.
+:func:`extract_lane` recovers the single scalar value of one lane.
 
-Three packed engines mirror the scalar simulator APIs
-(``set``/``set_many``/``get``/``step``/``get_register``/``load_state``)
-so lockstep drivers can treat them interchangeably:
+Two engines simulate the implementation netlists, and they are the
+only gate-level simulators in the toolkit:
 
 * :class:`PackedGateSimulator` — over a ``GateNetlist``;
 * :class:`PackedMappedSimulator` — over a ``MappedNetlist`` of
   standard cells (packed per-kind boolean functions, with a per-lane
-  fallback for unknown cells);
-* :class:`PackedRtlSimulator` — over an RTL ``Module``, by reusing the
-  flow's own verified bit-blaster (:func:`repro.synth.lower.lower`)
-  and running the resulting netlist packed.
+  fallback for unknown cells).
 
-This module deliberately imports nothing from :mod:`repro.synth` at
-module level (the synth package imports back into here); the RTL engine
-lowers lazily at construction time.
+Both share one body for state, stimulus and clocking
+(``set``/``set_many``/``get``/``step``/``get_register``/``load_state``)
+and differ only in their settle loops.  Built with ``lanes=1`` they are
+the one-vector engines that the equivalence checker's lockstep loop
+and mismatch replay drive; the RTL reference is always the independent
+interpreter :class:`repro.sim.Simulator`.
+
+This module deliberately imports nothing from :mod:`repro.synth` (the
+synth package imports back into here).
 """
 
 from __future__ import annotations
@@ -88,10 +88,10 @@ def unpack_word(words: list[int], lane_count: int = LANES) -> list[int]:
 def extract_lane(words: list[int], lane: int) -> int:
     """Scalar value of one lane of a packed word.
 
-    This is the mismatch-localization routine: given the packed inputs
-    (or outputs) of a failing simulation and the index of the offending
-    lane, it recovers the exact single test vector to replay through
-    the scalar simulators.
+    Given packed inputs or outputs and a lane index, it recovers that
+    lane's scalar value: a batched replay reads one verdict per lane
+    this way, and a one-lane engine's values are ``extract_lane(words,
+    0)``.
     """
     value = 0
     for bit, word in enumerate(words):
@@ -116,8 +116,8 @@ def group_bit_labels(labels: list[str]) -> dict[str, list[tuple[int, int]]]:
 
     ``labels[p]`` names state element ``p`` (a flop name or a DFF tag);
     the result maps each word name to ``(bit_index, position)`` pairs.
-    Unlabelled positions become single-bit ``dff<p>`` words — the same
-    convention the scalar gate simulators use.
+    Unlabelled positions become single-bit ``dff<p>`` words, so every
+    flop of a hand-built netlist stays addressable.
     """
     words: dict[str, list[tuple[int, int]]] = {}
     for position, label in enumerate(labels):
@@ -183,7 +183,7 @@ def packed_cell_function(cell, mask: int):
 
 
 # ---------------------------------------------------------------------------
-# Packed gate-netlist simulator
+# Packed netlist simulators
 # ---------------------------------------------------------------------------
 
 # settle() opcodes, kept as ints so the hot loop branches on an int
@@ -193,31 +193,23 @@ _OPCODES = {"AND": _OP_AND, "OR": _OP_OR, "XOR": _OP_XOR,
             "NOT": _OP_NOT, "BUF": _OP_BUF}
 
 
-class PackedGateSimulator:
-    """Word-parallel simulator over a ``GateNetlist``.
+class _PackedEngine:
+    """State, stimulus and clocking shared by the packed engines.
 
-    Mirrors :class:`repro.synth.netlist.GateSimulator` but every net
-    holds a lane word: one Python-level bitwise op per gate simulates
-    all ``lanes`` vectors.  Packed values are lists of lane words, LSB
-    first (see the module docstring).
+    Every net holds a lane word; packed values are lists of lane words,
+    LSB first (see the module docstring).  A subclass fills in its ports
+    (``_inputs``/``_outputs``: name -> nets), its flops (``_seq``: one
+    ``(d, q, reset_value)`` entry each), its constant nets (``_consts``:
+    net -> 0/1), the register words the flop labels form (``_words``,
+    see :func:`group_bit_labels`) and the net values, then supplies its
+    own ``_settle`` loop.
     """
 
-    def __init__(self, netlist, lanes: int = LANES):
+    def __init__(self, lanes: int):
         if not 1 <= lanes <= LANES:
             raise PackedSimError(f"lanes must be in 1..{LANES}, got {lanes}")
-        self.netlist = netlist
         self.lanes = lanes
         self.mask = (1 << lanes) - 1
-        # Pre-encode the topological settle program once.
-        self._program: list[tuple[int, int, int, int]] = []
-        for gate in netlist.topo_gates():
-            opcode = _OPCODES[gate.op]
-            a = gate.inputs[0]
-            b = gate.inputs[1] if len(gate.inputs) > 1 else a
-            self._program.append((opcode, gate.output, a, b))
-        self._values: list[int] = [0] * netlist.n_nets
-        self._words = group_bit_labels([ff.name for ff in netlist.dffs])
-        self.reset()
 
     # -- state --------------------------------------------------------------
 
@@ -230,166 +222,21 @@ class PackedGateSimulator:
 
     def input_widths(self) -> dict[str, int]:
         """Input port name -> bit width."""
-        return {name: len(nets) for name, nets in self.netlist.inputs.items()}
+        return {name: len(nets) for name, nets in self._inputs.items()}
 
     def reset(self) -> None:
         values = self._values
         mask = self.mask
-        for net, value in self.netlist.const_nets.items():
+        for net, value in self._consts.items():
             values[net] = mask if value else 0
-        for ff in self.netlist.dffs:
-            values[ff.q] = mask if ff.reset_value else 0
-        self._settle()
-
-    def load_state(
-        self, state: dict[str, list[int]], settle: bool = True
-    ) -> None:
-        """Force register words to packed per-lane values (by flop name).
-
-        ``settle=False`` defers combinational re-evaluation for callers
-        that immediately follow with :meth:`set_many` (which settles).
-        """
-        dffs = self.netlist.dffs
-        for name, words in state.items():
-            if name not in self._words:
-                raise KeyError(f"no register named {name!r} in netlist")
-            for bit_index, position in self._words[name]:
-                word = words[bit_index] if bit_index < len(words) else 0
-                self._check_word(word)
-                self._values[dffs[position].q] = word
-        if settle:
-            self._settle()
-
-    def get_register(self, name: str) -> list[int]:
-        """Packed current value of the register word ``name``."""
-        if name not in self._words:
-            raise KeyError(f"no register named {name!r} in netlist")
-        pairs = self._words[name]
-        width = 1 + max(bit for bit, _ in pairs)
-        words = [0] * width
-        for bit_index, position in pairs:
-            words[bit_index] = self._values[self.netlist.dffs[position].q]
-        return words
-
-    # -- stimulus -----------------------------------------------------------
-
-    def _check_word(self, word: int) -> None:
-        if not 0 <= word <= self.mask:
-            raise PackedSimError(
-                f"lane word {word:#x} exceeds the {self.lanes}-lane mask"
-            )
-
-    def _write_input(self, name: str, words: list[int]) -> None:
-        nets = self.netlist.inputs[name]
-        if len(words) != len(nets):
-            raise PackedSimError(
-                f"input {name!r} is {len(nets)} bits, got {len(words)} "
-                "lane words"
-            )
-        for net, word in zip(nets, words):
-            self._check_word(word)
-            self._values[net] = word
-
-    def set(self, name: str, words: list[int]) -> None:
-        """Drive an input with one lane word per bit, then settle."""
-        self._write_input(name, words)
-        self._settle()
-
-    def set_many(self, values: dict[str, list[int]]) -> None:
-        """Drive several inputs with a single settle sweep."""
-        for name, words in values.items():
-            self._write_input(name, words)
-        self._settle()
-
-    def get(self, name: str) -> list[int]:
-        """Packed value of output ``name`` (one lane word per bit)."""
-        values = self._values
-        return [values[net] for net in self.netlist.outputs[name]]
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _settle(self) -> None:
-        values = self._values
-        mask = self.mask
-        for opcode, out, a, b in self._program:
-            if opcode == _OP_AND:
-                values[out] = values[a] & values[b]
-            elif opcode == _OP_OR:
-                values[out] = values[a] | values[b]
-            elif opcode == _OP_XOR:
-                values[out] = values[a] ^ values[b]
-            elif opcode == _OP_NOT:
-                values[out] = values[a] ^ mask
-            else:
-                values[out] = values[a]
-
-    def step(self, cycles: int = 1) -> None:
-        values = self._values
-        dffs = self.netlist.dffs
-        for _ in range(cycles):
-            sampled = [values[ff.d] for ff in dffs]
-            for ff, word in zip(dffs, sampled):
-                values[ff.q] = word
-            self._settle()
-
-
-# ---------------------------------------------------------------------------
-# Packed mapped-netlist simulator
-# ---------------------------------------------------------------------------
-
-
-class PackedMappedSimulator:
-    """Word-parallel simulator over a ``MappedNetlist`` of standard cells."""
-
-    def __init__(self, mapped, lanes: int = LANES):
-        if not 1 <= lanes <= LANES:
-            raise PackedSimError(f"lanes must be in 1..{LANES}, got {lanes}")
-        self.mapped = mapped
-        self.lanes = lanes
-        self.mask = (1 << lanes) - 1
-        # Program entries carry the input nets arity-split (a, b, c) so
-        # settle can call without *args tuple building per cell.
-        self._program = []
-        for inst in mapped.topo_comb():
-            fn = packed_cell_function(inst.cell, self.mask)
-            ins = [inst.pins[p] for p in inst.cell.inputs]
-            a, b, c = (ins + [0, 0, 0])[:3]
-            self._program.append(
-                (len(ins), fn, inst.pins[inst.cell.output], a, b, c)
-            )
-        self._seq = [
-            (inst.pins["d"], inst.pins[inst.cell.output], inst.reset_value)
-            for inst in mapped.seq_cells
-        ]
-        self._words = group_bit_labels(
-            [inst.tag for inst in mapped.seq_cells]
-        )
-        self._values: dict[int, int] = {n: 0 for n in mapped.nets()}
-        self.reset()
-
-    # -- state --------------------------------------------------------------
-
-    def register_words(self) -> dict[str, list[int]]:
-        """Register word name -> sorted bit indices (correspondence map)."""
-        return {
-            name: sorted(bit for bit, _ in pairs)
-            for name, pairs in self._words.items()
-        }
-
-    def input_widths(self) -> dict[str, int]:
-        """Input port name -> bit width."""
-        return {name: len(nets) for name, nets in self.mapped.inputs.items()}
-
-    def reset(self) -> None:
-        mask = self.mask
         for _, q, reset_value in self._seq:
-            self._values[q] = mask if reset_value else 0
+            values[q] = mask if reset_value else 0
         self._settle()
 
     def load_state(
         self, state: dict[str, list[int]], settle: bool = True
     ) -> None:
-        """Force register words to packed per-lane values (by DFF tag).
+        """Force register words to packed per-lane values (by flop label).
 
         ``settle=False`` defers combinational re-evaluation for callers
         that immediately follow with :meth:`set_many` (which settles).
@@ -424,7 +271,7 @@ class PackedMappedSimulator:
             )
 
     def _write_input(self, name: str, words: list[int]) -> None:
-        nets = self.mapped.inputs[name]
+        nets = self._inputs[name]
         if len(words) != len(nets):
             raise PackedSimError(
                 f"input {name!r} is {len(nets)} bits, got {len(words)} "
@@ -435,19 +282,99 @@ class PackedMappedSimulator:
             self._values[net] = word
 
     def set(self, name: str, words: list[int]) -> None:
+        """Drive an input with one lane word per bit, then settle."""
         self._write_input(name, words)
         self._settle()
 
     def set_many(self, values: dict[str, list[int]]) -> None:
+        """Drive several inputs with a single settle sweep."""
         for name, words in values.items():
             self._write_input(name, words)
         self._settle()
 
     def get(self, name: str) -> list[int]:
+        """Packed value of output ``name`` (one lane word per bit)."""
         values = self._values
-        return [values[net] for net in self.mapped.outputs[name]]
+        return [values[net] for net in self._outputs[name]]
 
     # -- evaluation ---------------------------------------------------------
+
+    def step(self, cycles: int = 1) -> None:
+        values = self._values
+        for _ in range(cycles):
+            sampled = [(q, values[d]) for d, q, _ in self._seq]
+            for q, word in sampled:
+                values[q] = word
+            self._settle()
+
+
+class PackedGateSimulator(_PackedEngine):
+    """Word-parallel simulator over a ``GateNetlist``.
+
+    One Python-level bitwise op per gate simulates all ``lanes``
+    vectors; ``lanes=1`` is the one-vector lockstep engine.
+    """
+
+    def __init__(self, netlist, lanes: int = LANES):
+        super().__init__(lanes)
+        self.netlist = netlist
+        # Pre-encode the topological settle program once.
+        self._program: list[tuple[int, int, int, int]] = []
+        for gate in netlist.topo_gates():
+            opcode = _OPCODES[gate.op]
+            a = gate.inputs[0]
+            b = gate.inputs[1] if len(gate.inputs) > 1 else a
+            self._program.append((opcode, gate.output, a, b))
+        self._inputs, self._outputs = netlist.inputs, netlist.outputs
+        self._seq = [(ff.d, ff.q, ff.reset_value) for ff in netlist.dffs]
+        self._consts = netlist.const_nets
+        self._words = group_bit_labels([ff.name for ff in netlist.dffs])
+        self._values: list[int] = [0] * netlist.n_nets
+        self.reset()
+
+    def _settle(self) -> None:
+        values = self._values
+        mask = self.mask
+        for opcode, out, a, b in self._program:
+            if opcode == _OP_AND:
+                values[out] = values[a] & values[b]
+            elif opcode == _OP_OR:
+                values[out] = values[a] | values[b]
+            elif opcode == _OP_XOR:
+                values[out] = values[a] ^ values[b]
+            elif opcode == _OP_NOT:
+                values[out] = values[a] ^ mask
+            else:
+                values[out] = values[a]
+
+
+class PackedMappedSimulator(_PackedEngine):
+    """Word-parallel simulator over a ``MappedNetlist`` of standard cells."""
+
+    def __init__(self, mapped, lanes: int = LANES):
+        super().__init__(lanes)
+        self.mapped = mapped
+        # Program entries carry the input nets arity-split (a, b, c) so
+        # settle can call without *args tuple building per cell.
+        self._program = []
+        for inst in mapped.topo_comb():
+            fn = packed_cell_function(inst.cell, self.mask)
+            ins = [inst.pins[p] for p in inst.cell.inputs]
+            a, b, c = (ins + [0, 0, 0])[:3]
+            self._program.append(
+                (len(ins), fn, inst.pins[inst.cell.output], a, b, c)
+            )
+        self._inputs, self._outputs = mapped.inputs, mapped.outputs
+        self._seq = [
+            (inst.pins["d"], inst.pins[inst.cell.output], inst.reset_value)
+            for inst in mapped.seq_cells
+        ]
+        self._consts = {}
+        self._words = group_bit_labels(
+            [inst.tag for inst in mapped.seq_cells]
+        )
+        self._values: dict[int, int] = {n: 0 for n in mapped.nets()}
+        self.reset()
 
     def _settle(self) -> None:
         values = self._values
@@ -460,68 +387,3 @@ class PackedMappedSimulator:
                 values[out] = fn(values[a])
             else:
                 values[out] = fn()
-
-    def step(self, cycles: int = 1) -> None:
-        values = self._values
-        for _ in range(cycles):
-            sampled = [(q, values[d]) for d, q, _ in self._seq]
-            for q, word in sampled:
-                values[q] = word
-            self._settle()
-
-
-# ---------------------------------------------------------------------------
-# Packed RTL simulator
-# ---------------------------------------------------------------------------
-
-
-class PackedRtlSimulator:
-    """Word-parallel simulator over an RTL ``Module``.
-
-    RTL expressions are word-level (adds, compares, muxes), which do
-    not vectorize over lane words directly, so this engine follows the
-    bit-blaster conventions: the module is lowered through the flow's
-    own verified bit blaster (:func:`repro.synth.lower.lower`) and the
-    resulting gate netlist is simulated packed.  Flop names carry the
-    ``reg[i]`` register correspondence, so ``get_register`` /
-    ``load_state`` address the same words as the scalar
-    :class:`repro.sim.Simulator`.
-    """
-
-    def __init__(self, module, lanes: int = LANES):
-        # Imported lazily: repro.synth imports back into repro.sim.
-        from ..synth.lower import lower
-
-        self.netlist = lower(module)
-        self._sim = PackedGateSimulator(self.netlist, lanes)
-        self.lanes = self._sim.lanes
-        self.mask = self._sim.mask
-
-    def register_words(self) -> dict[str, list[int]]:
-        return self._sim.register_words()
-
-    def input_widths(self) -> dict[str, int]:
-        return self._sim.input_widths()
-
-    def reset(self) -> None:
-        self._sim.reset()
-
-    def load_state(
-        self, state: dict[str, list[int]], settle: bool = True
-    ) -> None:
-        self._sim.load_state(state, settle)
-
-    def get_register(self, name: str) -> list[int]:
-        return self._sim.get_register(name)
-
-    def set(self, name: str, words: list[int]) -> None:
-        self._sim.set(name, words)
-
-    def set_many(self, values: dict[str, list[int]]) -> None:
-        self._sim.set_many(values)
-
-    def get(self, name: str) -> list[int]:
-        return self._sim.get(name)
-
-    def step(self, cycles: int = 1) -> None:
-        self._sim.step(cycles)

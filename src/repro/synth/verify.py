@@ -1,7 +1,8 @@
 """Simulation-based equivalence checking.
 
-Runs the RTL simulator and a gate-level simulator (pre- or post-mapping)
-in lockstep on random stimulus and compares every output every cycle.
+Runs the RTL simulator and a packed gate-level engine (pre- or
+post-mapping, :mod:`repro.sim.bitsim`) on random stimulus and compares
+every output every cycle.
 This is the verification backbone of the flow: synthesis, optimization and
 mapping are each checked against the original RTL semantics.
 
@@ -26,13 +27,12 @@ from ..sim.bitsim import (
     LANES,
     PackedGateSimulator,
     PackedMappedSimulator,
-    PackedSimError,
     extract_lane,
     pack_word,
 )
 from ..sim.engine import Simulator
-from .mapped import MappedNetlist, MappedSimulator
-from .netlist import GateNetlist, GateSimulator
+from .mapped import MappedNetlist
+from .netlist import GateNetlist
 
 #: Lockstep equivalence stops collecting divergences at this many
 #: mismatches: past that point the netlist is plainly broken and more
@@ -149,12 +149,28 @@ class EquivalenceResult:
         )
 
 
-def _gate_sim(impl):
+def packed_simulator(
+    impl: GateNetlist | MappedNetlist, lanes: int = LANES
+) -> PackedGateSimulator | PackedMappedSimulator:
+    """The packed engine for an implementation netlist."""
     if isinstance(impl, GateNetlist):
-        return GateSimulator(impl)
+        return PackedGateSimulator(impl, lanes)
     if isinstance(impl, MappedNetlist):
-        return MappedSimulator(impl)
+        return PackedMappedSimulator(impl, lanes)
     raise TypeError(f"cannot simulate implementation of type {type(impl)!r}")
+
+
+def _drive(sim, widths: dict[str, int], vector: dict[str, int]) -> None:
+    """Drive scalar input values into a one-lane engine."""
+    words = {}
+    for name, value in vector.items():
+        width = widths[name]
+        if not 0 <= value < (1 << width):
+            raise ValueError(
+                f"value {value} does not fit input {name!r} ({width} bits)"
+            )
+        words[name] = pack_word([value], width)
+    sim.set_many(words)
 
 
 def check_equivalence(
@@ -162,7 +178,6 @@ def check_equivalence(
     implementation: GateNetlist | MappedNetlist,
     cycles: int = 64,
     seed: int = 2025,
-    engine: str = "auto",
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> EquivalenceResult:
@@ -177,38 +192,27 @@ def check_equivalence(
     result then reports the cycle count actually simulated (the failing
     cycle + 1), not the requested budget.
 
-    ``engine`` selects the simulation strategy:
-
-    * ``"scalar"`` — the classic one-vector-per-cycle lockstep loop;
-    * ``"packed"`` — the word-parallel fast path
-      (:mod:`repro.sim.bitsim`): the RTL simulator records the random
-      trajectory once, then the implementation verifies 64 cycles per
-      packed pass.  Any packed divergence (or a netlist the packed
-      engine cannot map onto the RTL registers) re-derives the result
-      through the scalar loop, so the returned
-      :class:`EquivalenceResult` — down to its JSON serialization — is
-      identical to the scalar engine's for the same seed;
-    * ``"auto"`` (default) — packed, with the scalar fallback.
+    The fast accept is word-parallel (:mod:`repro.sim.bitsim`): the RTL
+    simulator records the random trajectory once, then the
+    implementation verifies 64 cycles per packed pass.  Any divergence,
+    or a netlist whose state cannot be forced through the RTL register
+    words, runs the lockstep loop from cycle 0 on a one-lane engine;
+    that loop defines the :class:`Mismatch` records.
     """
-    if engine not in ("auto", "scalar", "packed"):
-        raise ValueError(
-            f"engine must be 'auto', 'scalar' or 'packed', got {engine!r}"
-        )
     if tracer is None:
         tracer = get_tracer()
     if metrics is None:
         metrics = get_metrics()
-    if engine != "scalar":
-        result = _check_equivalence_packed(
-            module, implementation, cycles, seed, tracer, metrics
-        )
-        if result is not None:
-            return result
-        metrics.counter("sim.packed.fallbacks").inc()
-    return _check_equivalence_scalar(module, implementation, cycles, seed)
+    result = _check_equivalence_packed(
+        module, implementation, cycles, seed, tracer, metrics
+    )
+    if result is not None:
+        return result
+    metrics.counter("sim.packed.fallbacks").inc()
+    return _check_equivalence_lockstep(module, implementation, cycles, seed)
 
 
-def _check_equivalence_scalar(
+def _check_equivalence_lockstep(
     module: Module,
     implementation: GateNetlist | MappedNetlist,
     cycles: int,
@@ -216,7 +220,8 @@ def _check_equivalence_scalar(
 ) -> EquivalenceResult:
     """The reference lockstep loop; defines the result contract."""
     rtl = Simulator(module)
-    gate = _gate_sim(implementation)
+    gate = packed_simulator(implementation, lanes=1)
+    widths = gate.input_widths()
     rng = random.Random(seed)
 
     input_sigs = list(rtl.module.inputs)
@@ -233,7 +238,7 @@ def _check_equivalence_scalar(
         words: dict[str, int] = {}
         for name in register_names:
             try:
-                words[name] = gate.get_register(name)
+                words[name] = extract_lane(gate.get_register(name), 0)
             except KeyError:
                 pass
         return words
@@ -245,9 +250,9 @@ def _check_equivalence_scalar(
             sig.name: rng.randrange(1 << sig.width) for sig in input_sigs
         }
         rtl.set_many(vector)
-        gate.set_many(vector)
+        _drive(gate, widths, vector)
         for name in output_names:
-            want, got = rtl.get(name), gate.get(name)
+            want, got = rtl.get(name), extract_lane(gate.get(name), 0)
             if want != got:
                 mismatches.append(Mismatch(
                     cycle, name, want, got, dict(vector), state,
@@ -262,14 +267,6 @@ def _check_equivalence_scalar(
     return EquivalenceResult(not mismatches, cycles, mismatches, seed)
 
 
-def _packed_impl_sim(impl):
-    if isinstance(impl, GateNetlist):
-        return PackedGateSimulator(impl)
-    if isinstance(impl, MappedNetlist):
-        return PackedMappedSimulator(impl)
-    raise TypeError(f"cannot simulate implementation of type {type(impl)!r}")
-
-
 def _check_equivalence_packed(
     module: Module,
     implementation: GateNetlist | MappedNetlist,
@@ -278,7 +275,7 @@ def _check_equivalence_packed(
     tracer: Tracer,
     metrics: MetricsRegistry,
 ) -> EquivalenceResult | None:
-    """The word-parallel fast path; ``None`` means "use the scalar loop".
+    """The word-parallel fast accept; ``None`` means "run the lockstep loop".
 
     Lockstep equivalence is inherently sequential (each cycle's state
     depends on the last), so the packed pass *forces the trajectory*:
@@ -289,15 +286,12 @@ def _check_equivalence_packed(
     the settled outputs and the next-state register values against the
     recorded trajectory.  With the implementation's reset state checked
     up front, agreement on every transition of the trajectory implies
-    (by induction) that the scalar lockstep run passes; any divergence
-    returns ``None`` and the caller re-derives the exact mismatch
-    records through the scalar loop.
+    (by induction) that the lockstep run passes; any divergence returns
+    ``None`` and the caller re-derives the exact mismatch records
+    through the lockstep loop.
     """
     rtl = Simulator(module)
-    try:
-        impl = _packed_impl_sim(implementation)
-    except (PackedSimError, ValueError, KeyError):
-        return None
+    impl = packed_simulator(implementation)
 
     register_names = [reg.signal.name for reg in rtl.module.registers]
     reg_widths = {
@@ -307,7 +301,7 @@ def _check_equivalence_packed(
     # to be forced and checked through the RTL register words: every
     # flop must belong to a named RTL register word covering exactly
     # bits 0..width-1, every RTL input/output must exist.  Anything
-    # else (hand-built or renamed netlists) takes the scalar loop.
+    # else (hand-built or renamed netlists) takes the lockstep loop.
     words = impl.register_words()
     if set(words) != set(register_names):
         return None
@@ -332,8 +326,8 @@ def _check_equivalence_packed(
     with tracer.span(
         "sim.packed.equivalence", design=module.name, cycles=cycles
     ) as span:
-        # Pass 1: scalar RTL replay records the trajectory.  The rng
-        # stream is drawn exactly as the scalar loop draws it — per
+        # Pass 1: the RTL simulator records the trajectory.  The rng
+        # stream is drawn exactly as the lockstep loop draws it — per
         # cycle, per input signal in declaration order.
         rng = random.Random(seed)
         input_sigs = list(rtl.module.inputs)
@@ -403,10 +397,9 @@ def _check_equivalence_packed(
             "sim.packed.vectors_per_sec", buckets=_RATE_BUCKETS
         ).observe(cycles / elapsed)
     if not clean:
-        # Some lane diverged: the scalar loop re-derives the exact
+        # Some lane diverged: the lockstep loop re-derives the exact
         # Mismatch records (cycle, inputs, state, the implementation's
-        # own evolved divergence snapshots) so the result is
-        # byte-identical to a scalar-engine run.
+        # own evolved divergence snapshots).
         return None
     return EquivalenceResult(True, cycles, [], seed)
 
@@ -418,20 +411,26 @@ def replay_mismatch(
 ) -> Mismatch | None:
     """Re-apply one recorded (or formally derived) failure directly.
 
-    Loads the recorded register state into both simulators, applies the
-    input vector, and compares the failing output once — no random
-    replay needed.  Returns a fresh :class:`Mismatch` if the divergence
-    reproduces, ``None`` if it does not.
+    Loads the recorded register state into the RTL simulator and a
+    one-lane engine, applies the input vector, and compares the failing
+    output once — no random replay needed.  Returns a fresh
+    :class:`Mismatch` if the divergence reproduces, ``None`` if it does
+    not.
     """
     rtl = Simulator(module)
-    gate = _gate_sim(implementation)
+    gate = packed_simulator(implementation, lanes=1)
     if mismatch.state:
         rtl.load_state(mismatch.state)
-        gate.load_state(mismatch.gate_state or mismatch.state)
+        gate.load_state({
+            name: pack_word([value], value.bit_length())
+            for name, value in (mismatch.gate_state or mismatch.state).items()
+        })
+    widths = gate.input_widths()
     for name, value in mismatch.inputs.items():
         rtl.set(name, value)
-        gate.set(name, value)
-    want, got = rtl.get(mismatch.output), gate.get(mismatch.output)
+        _drive(gate, widths, {name: value})
+    want = rtl.get(mismatch.output)
+    got = extract_lane(gate.get(mismatch.output), 0)
     if want == got:
         return None
     return Mismatch(

@@ -1,19 +1,23 @@
-"""Differential tests for the word-parallel bit-packed simulators.
+"""Tests for the word-parallel bit-packed simulators.
 
-The packed engines (:mod:`repro.sim.bitsim`) are a performance fast
-path: every answer they produce must be *bit-exact* against the scalar
-simulators they replace.  These tests pin that down three ways:
+The packed engines (:mod:`repro.sim.bitsim`) are the only gate-level
+simulators, so every answer they produce is checked against an
+independent reference:
 
 * packing round-trips (property tests over widths 1-64);
-* lockstep differential runs — packed lanes vs independent scalar
-  simulators, outputs and register state, over catalogue designs and
-  randomly generated modules;
-* end-to-end result equality — ``check_equivalence`` must return
-  byte-identical JSON with ``engine="scalar"`` and ``engine="packed"``,
-  both for passing designs and for seeded must-fail mutations, and
-  batched LEC replay must agree with scalar replay witness by witness.
+* lockstep differential runs — packed lanes vs the RTL interpreter
+  :class:`repro.sim.Simulator` per lane, outputs and register state,
+  over catalogue designs and randomly generated modules, plus an
+  exhaustive truth table of every standard cell's packed function
+  against the cell's own scalar ``function``;
+* end-to-end result equality — ``check_equivalence`` JSON, mismatch
+  replay and batched LEC replay verdicts must match, byte for byte,
+  the golden results the scalar lockstep engines produced
+  (``tests/data/equivalence_golden.json``), for passing designs,
+  seeded must-fail mutants and hand-built netlists.
 """
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -32,22 +36,21 @@ from repro.formal import (
 from repro.hdl import ModuleBuilder, mux
 from repro.ip.catalog import catalogue, generate
 from repro.pdk import get_pdk
+from repro.pdk.pdks import list_pdks
 from repro.sim import Simulator
 from repro.sim.bitsim import (
     LANES,
     PackedGateSimulator,
     PackedMappedSimulator,
-    PackedRtlSimulator,
     PackedSimError,
     broadcast_word,
     extract_lane,
     extract_lane_vector,
     pack_word,
+    packed_cell_function,
     unpack_word,
 )
 from repro.synth import (
-    GateSimulator,
-    MappedSimulator,
     check_equivalence,
     lower,
     optimize,
@@ -113,7 +116,7 @@ class TestPackingRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Lockstep differential: packed lanes vs scalar simulators
+# Lockstep differential: packed lanes vs the RTL simulator
 # ---------------------------------------------------------------------------
 
 
@@ -162,61 +165,112 @@ DIFF_DESIGNS = ("counter", "gray_counter", "lfsr", "alu", "uart_tx")
 
 
 class TestLockstepDifferential:
+    """Every packed lane against its own RTL interpreter."""
+
     @pytest.mark.parametrize("name", DIFF_DESIGNS)
     def test_packed_rtl_matches_scalar_simulator(self, name):
+        """The lowered RTL, packed, cross-checks lowering too."""
         module = generate(name).module
         rng = random.Random(7)
-        packed = PackedRtlSimulator(module)
-        # The packed RTL simulator runs the *lowered* netlist; scalar
-        # reference is the RTL interpreter, so this also cross-checks
-        # lowering.
+        packed = PackedGateSimulator(lower(module))
         scalars = [Simulator(module) for _ in range(8)]
         run_differential(module, packed, scalars, rng)
 
     @pytest.mark.parametrize("name", DIFF_DESIGNS)
     def test_packed_gate_matches_scalar_gate(self, name):
+        """The optimized gate netlist, packed, per lane."""
         module = generate(name).module
         netlist, _ = optimize(lower(module))
         rng = random.Random(11)
         packed = PackedGateSimulator(netlist)
-        scalars = [GateSimulator(netlist) for _ in range(8)]
+        scalars = [Simulator(module) for _ in range(8)]
         run_differential(module, packed, scalars, rng)
 
     @pytest.mark.parametrize("name", DIFF_DESIGNS)
     def test_packed_mapped_matches_scalar_mapped(self, name, library):
+        """The mapped standard cells, packed, per lane."""
         module = generate(name).module
         mapped = synthesize(module, library, verify=False).mapped
         rng = random.Random(13)
         packed = PackedMappedSimulator(mapped)
-        scalars = [MappedSimulator(mapped) for _ in range(8)]
+        scalars = [Simulator(module) for _ in range(8)]
         run_differential(module, packed, scalars, rng)
 
     def test_random_modules_differential(self, library):
-        """Randomly generated datapaths, packed vs scalar, all layers."""
+        """Randomly generated datapaths, gate and mapped layers."""
         for seed in range(6):
             module = build_random_module(seed)
             rng = random.Random(seed + 100)
-            packed = PackedRtlSimulator(module)
+            packed = PackedGateSimulator(lower(module))
             scalars = [Simulator(module) for _ in range(4)]
             run_differential(module, packed, scalars, rng, cycles=8)
             mapped = synthesize(module, library, verify=False).mapped
             rng = random.Random(seed + 200)
             packed = PackedMappedSimulator(mapped)
-            scalars = [MappedSimulator(mapped) for _ in range(4)]
+            scalars = [Simulator(module) for _ in range(4)]
             run_differential(module, packed, scalars, rng, cycles=8)
 
-    def test_partial_lane_counts(self):
+    def test_partial_lane_counts(self, library):
         module = generate("counter").module
-        packed = PackedRtlSimulator(module, lanes=3)
-        scalars = [Simulator(module) for _ in range(3)]
-        run_differential(module, packed, scalars, random.Random(3), cycles=6)
+        for netlist, engine in (
+            (lower(module), PackedGateSimulator),
+            (synthesize(module, library, verify=False).mapped,
+             PackedMappedSimulator),
+        ):
+            for lanes in (1, 3):
+                packed = engine(netlist, lanes=lanes)
+                scalars = [Simulator(module) for _ in range(lanes)]
+                run_differential(
+                    module, packed, scalars, random.Random(3), cycles=6
+                )
 
     def test_load_state_round_trip(self):
         module = generate("counter").module
-        packed = PackedRtlSimulator(module)
+        packed = PackedGateSimulator(lower(module))
         values = [i * 5 % 256 for i in range(LANES)]
         packed.load_state({"count": pack_word(values, 8)})
         assert unpack_word(packed.get_register("count")) == values
+
+    def test_lane_count_bounds(self):
+        module = generate("counter").module
+        for lanes in (0, LANES + 1):
+            with pytest.raises(PackedSimError):
+                PackedGateSimulator(lower(module), lanes=lanes)
+
+
+class TestCellFunctions:
+    """The mapped engine's reference: each cell's own scalar function."""
+
+    @pytest.mark.parametrize("pdk", list_pdks())
+    def test_packed_function_matches_truth_table(self, pdk):
+        checked = set()
+        for cell in get_pdk(pdk).library.cells.values():
+            if cell.is_sequential:
+                continue
+            # Lane l carries input combination l, so one packed call
+            # evaluates the whole truth table.
+            arity = len(cell.inputs)
+            rows = 1 << arity
+            mask = (1 << rows) - 1
+            words = [
+                pack_word([row >> pin & 1 for row in range(rows)], 1)[0]
+                for pin in range(arity)
+            ]
+            for fn in (
+                packed_cell_function(cell, mask),
+                # A kind without a closed form takes the per-lane path.
+                packed_cell_function(
+                    dataclasses.replace(cell, kind="CUSTOM"), mask
+                ),
+            ):
+                out = fn(*words)
+                for row in range(rows):
+                    bits = [row >> pin & 1 for pin in range(arity)]
+                    assert (out >> row) & 1 == cell.function(*bits), (
+                        f"{cell.name} row {row:0{max(arity, 1)}b}"
+                    )
+            checked.add(cell.kind)
+        assert {"INV", "NAND2", "AOI21", "MUX2", "TIE1"} <= checked
 
 
 def build_random_module(seed):
@@ -359,17 +413,10 @@ class TestEquivalenceEngines:
             golden_check(module, mutant) == golden["mapped_untagged_mutant"]
         )
 
-    def test_auto_engine_matches_scalar(self, library):
-        module = generate("lfsr").module
-        mapped = synthesize(module, library, verify=False).mapped
-        auto = check_equivalence(module, mapped, cycles=64, seed=9)
-        scalar = check_equivalence(
-            module, mapped, cycles=64, seed=9, engine="scalar")
-        assert auto.to_json() == scalar.to_json()
-
     def test_unknown_engine_rejected(self, library):
+        """There is one engine: ``check_equivalence`` takes no knob."""
         module = generate("counter").module
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             check_equivalence(module, lower(module), engine="simd")
 
     def test_result_json_records_mismatch_cap(self, library):

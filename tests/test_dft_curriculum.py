@@ -17,7 +17,7 @@ from repro.core.curriculum import (
 from repro.core.steps import FlowStep
 from repro.hdl import ModuleBuilder, mux
 from repro.pdk import get_pdk
-from repro.synth import MappedSimulator, check_equivalence, synthesize
+from repro.synth import check_equivalence, synthesize
 from repro.synth.dft import (
     DftError,
     coverage_estimate,
@@ -55,10 +55,10 @@ class TestScanInsertion:
         result = check_equivalence(module, mapped, cycles=60)
         assert result.passed, result.mismatches[:3]
 
-    def test_shift_mode_moves_patterns(self):
+    def test_shift_mode_moves_patterns(self, one_lane):
         _, mapped = build_counter_mapped(width=4)
         report = insert_scan_chain(mapped)
-        sim = MappedSimulator(mapped)
+        sim = one_lane(mapped)
         sim.set("en", 0)
         sim.set("scan_en", 1)
         pattern = [1, 0, 1, 1]

@@ -31,7 +31,7 @@ from repro.hdl.ir import BinOp, Const, Module, Mux, Ref, UnaryOp
 from repro.ip import catalogue, generate
 from repro.lint import lint_module
 from repro.pdk.pdks import get_pdk
-from repro.synth import GateSimulator, MappedSimulator, lower, synthesize
+from repro.synth import lower, synthesize
 from repro.synth.verify import check_equivalence, replay_mismatch
 
 
@@ -409,6 +409,22 @@ class TestFlowIntegration:
         item = next(i for i in report.items if i.name == "lec_clean")
         assert item.passed and item.waivable
         assert "PROVED" in item.detail
+
+    def test_signoff_of_workspace_result(self):
+        """A stitched Workspace result has no optimized gate netlist:
+        ``lec_flow`` skips ``post_opt`` and signoff still runs."""
+        from repro.inter import Workspace
+
+        workspace = Workspace.open(
+            generate("counter").module, get_pdk("edu130")
+        )
+        assert workspace.result.synthesis.netlist is None
+        report = run_signoff(workspace.result)
+        item = next(i for i in report.items if i.name == "lec_clean")
+        assert item.passed
+        synth = workspace.result.synthesis
+        lec = lec_flow(synth.module, synth)
+        assert list(lec.checks) == ["post_synthesis", "post_mapping"]
 
     def test_flow_fails_on_lec_counterexample(self, monkeypatch):
         import repro.core.flow as flow_mod

@@ -23,7 +23,6 @@ from repro.pnr import (
 from repro.sim import Simulator
 from repro.sta import TimingAnalyzer
 from repro.synth import (
-    MappedSimulator,
     buffer_heavy_nets,
     size_for_load,
     synthesize,
@@ -210,7 +209,7 @@ class TestIndexInvalidation:
         assert stats.upsized > 0
         assert mapped.index_version > before
 
-    def test_buffering_is_reflected_by_indexes(self, pdk):
+    def test_buffering_is_reflected_by_indexes(self, pdk, one_lane):
         mapped = synthesize(build_alu(), pdk.library).mapped
         reference = synthesize(build_alu(), pdk.library).mapped
         # Prime every memoized index, then mutate through the API.
@@ -246,8 +245,8 @@ class TestIndexInvalidation:
         assert len(mapped.topo_comb()) == order_before + len(bufs)
 
         # Buffering is the identity on logic: outputs must not change.
-        sim_a = MappedSimulator(mapped)
-        sim_b = MappedSimulator(reference)
+        sim_a = one_lane(mapped)
+        sim_b = one_lane(reference)
         rng = random.Random(11)
         for _ in range(32):
             vector = {

@@ -42,7 +42,7 @@ from repro.layout.gds import _parse_real8, _real8
 from repro.pdk import get_pdk
 from repro.sim import Simulator
 from repro.swstack import StackVm, compile_source
-from repro.synth import GateSimulator, check_equivalence, lower, optimize, tech_map
+from repro.synth import check_equivalence, lower, optimize, tech_map
 
 # -- expression-tree strategy -----------------------------------------------
 
@@ -101,13 +101,13 @@ class TestLoweringSemantics:
         ),
     )
     @settings(max_examples=120, deadline=None)
-    def test_lowered_netlist_matches_eval(self, expr, values):
+    def test_lowered_netlist_matches_eval(self, expr, values, one_lane):
         module = _module_for(expr, _SIGNALS)
         env = dict(zip(_SIGNALS, values))
         want = eval_expr(module.assigns[module.outputs[0]], env)
 
         netlist = lower(module)
-        sim = GateSimulator(netlist)
+        sim = one_lane(netlist)
         for sig, value in env.items():
             sim.set(sig.name, value)
         assert sim.get("y") == want
@@ -119,13 +119,13 @@ class TestLoweringSemantics:
         ),
     )
     @settings(max_examples=120, deadline=None)
-    def test_optimizer_preserves_semantics(self, expr, values):
+    def test_optimizer_preserves_semantics(self, expr, values, one_lane):
         module = _module_for(expr, _SIGNALS)
         env = dict(zip(_SIGNALS, values))
         want = eval_expr(module.assigns[module.outputs[0]], env)
 
         optimized, _ = optimize(lower(module))
-        sim = GateSimulator(optimized)
+        sim = one_lane(optimized)
         for sig, value in env.items():
             sim.set(sig.name, value)
         assert sim.get("y") == want

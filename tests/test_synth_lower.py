@@ -3,12 +3,7 @@
 import pytest
 
 from repro.hdl import ModuleBuilder, cat, mux
-from repro.synth import GateSimulator, check_equivalence, lower
-
-
-def lower_and_sim(module):
-    return GateSimulator(lower(module))
-
+from repro.synth import check_equivalence, lower
 
 def binary_module(fn, wa=6, wb=6, name="m"):
     b = ModuleBuilder(name)
@@ -67,21 +62,21 @@ class TestCombLowering:
         module = b.build()
         assert check_equivalence(module, lower(module), cycles=50).passed
 
-    def test_overshift_constant(self):
+    def test_overshift_constant(self, one_lane):
         b = ModuleBuilder("m")
         a = b.input("a", 4)
         b.output("y", a << 9)
         module = b.build()
-        sim = lower_and_sim(module)
+        sim = one_lane(lower(module))
         sim.set("a", 0xF)
         assert sim.get("y") == 0
 
-    def test_mul_full_width(self):
+    def test_mul_full_width(self, one_lane):
         b = ModuleBuilder("m")
         a = b.input("a", 4)
         c = b.input("c", 4)
         b.output("y", a * c)
-        sim = lower_and_sim(b.build())
+        sim = one_lane(lower(b.build()))
         sim.set("a", 15)
         sim.set("c", 15)
         assert sim.get("y") == 225
@@ -97,12 +92,12 @@ class TestSequentialLowering:
         module = b.build()
         assert check_equivalence(module, lower(module), cycles=100).passed
 
-    def test_reset_values_carried(self):
+    def test_reset_values_carried(self, one_lane):
         b = ModuleBuilder("m")
         r = b.register("r", 8, reset=0xA5)
         r.next = r
         b.output("q", r)
-        sim = lower_and_sim(b.build())
+        sim = one_lane(lower(b.build()))
         assert sim.get("q") == 0xA5
 
     def test_lfsr_equivalence(self):
