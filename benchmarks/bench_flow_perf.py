@@ -9,6 +9,7 @@ repeated measurement rounds.
 from conftest import build_alu_design, build_counter, build_mac_pipe
 
 from repro.core import OPEN, FlowOptions, run_flow
+from repro.ip import make_soc
 from repro.layout import build_chip_gds, write_gds
 from repro.pdk import get_pdk
 from repro.pnr import implement, make_floorplan, place
@@ -50,6 +51,23 @@ def test_perf_detailed_place(benchmark):
 
     placement = benchmark(run)
     assert placement.hpwl_um > 0
+
+
+def test_perf_place_soc(benchmark):
+    """Global placement plus spread/Abacus legalization of the soc."""
+    pdk = get_pdk("edu130")
+    mapped = synthesize(make_soc().module, pdk.library).mapped
+    floorplan = make_floorplan(mapped, pdk.node)
+    placement = benchmark(place, mapped, floorplan)
+    rows = {row.y: row for row in floorplan.rows}
+    outside = [
+        cell.name for cell in placement.cells.values()
+        if cell.y not in rows
+        or cell.x < rows[cell.y].x0 - 1e-6
+        or cell.x + cell.width > rows[cell.y].x1 + 1e-6
+    ]
+    assert len(placement.cells) == len(mapped.cells)
+    assert outside == []
 
 
 def test_perf_backend(benchmark):

@@ -12,4 +12,4 @@ run the full flow, :mod:`repro.obs` to trace and profile it, and
 :mod:`repro.analytics` for the paper's quantitative claims.
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"

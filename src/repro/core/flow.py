@@ -46,6 +46,7 @@ from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Span, Tracer, get_tracer
 from ..pdk.pdks import Pdk
 from ..pnr.physical import PhysicalDesign, implement
+from ..pnr.placement import PlacementError
 from ..power.engine import PowerAnalyzer, PowerReport
 from ..resil.cachekey import flow_cache_key
 from ..resil.failure import FlowFailure, InjectedFault
@@ -611,9 +612,17 @@ def run_flow(
                     eco=opts.eco,
                 )
             except InjectedFault as exc:
-                # Stages that finished before the fault have spans (and
-                # checkpoints); report them, then the faulted stage.
-                faulted = _STEP_BY_VALUE[exc.stage]
+                backend_failure = (
+                    _STEP_BY_VALUE[exc.stage], str(exc), "injected"
+                )
+            except PlacementError as exc:
+                backend_failure = (FlowStep.PLACEMENT, str(exc), "gate")
+            else:
+                backend_failure = None
+            if backend_failure is not None:
+                # Stages that finished before the failure have spans (and
+                # checkpoints); report them, then the failed stage.
+                faulted, message, kind = backend_failure
                 for step in (
                     FlowStep.FLOORPLANNING,
                     FlowStep.PLACEMENT,
@@ -626,7 +635,7 @@ def run_flow(
                         break
                     if span is not None:
                         record(step, span)
-                fail(exc.stage, str(exc), kind="injected")
+                fail(faulted.value, message, kind=kind)
         if physical is not None:
             record(FlowStep.FLOORPLANNING, stage_span(FlowStep.FLOORPLANNING),
                    **physical.floorplan.stats())

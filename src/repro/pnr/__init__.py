@@ -7,6 +7,7 @@ from .placement import (
     IncrementalHpwl,
     PlacedCell,
     Placement,
+    PlacementError,
     hpwl,
     net_pin_positions,
     net_pin_templates,
@@ -32,6 +33,7 @@ __all__ = [
     "PhysicalDesign",
     "PlacedCell",
     "Placement",
+    "PlacementError",
     "RoutedNet",
     "RoutingResult",
     "Row",

@@ -1,4 +1,4 @@
-"""Placement: quadratic global placement + Tetris legalization + swaps.
+"""Placement: quadratic global placement + spread/Abacus legalization + swaps.
 
 The classic academic recipe:
 
@@ -6,14 +6,21 @@ The classic academic recipe:
    (small nets) or a star with an auxiliary node (large nets); fixed IO
    pins anchor the system.  The resulting sparse linear system is solved
    with :mod:`scipy.sparse`.
-2. **Legalization**: Tetris — cells sorted by x are appended to the row
-   that minimizes displacement.
+2. **Legalization**, in two steps.  *Spreading* (FastPlace cell
+   shifting): cells sorted by y go to rows by the quantile of their
+   cumulative width, so every row carries its share of the total width,
+   and inside a row each cell's x is blended with its width-quantile x.
+   *Abacus* then packs each row in x order, moving clusters of abutting
+   cells left or right to the least squared displacement, clamped to the
+   row.  Every cell ends inside a row on the site grid; rows that cannot
+   hold their cells raise :class:`PlacementError`.
 3. **Detailed placement** (optional, the "commercial" preset): greedy
    equal-width cell swaps that reduce half-perimeter wirelength (HPWL).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -204,37 +211,183 @@ def _quadratic_positions(
     }
 
 
+class PlacementError(ValueError):
+    """The rows cannot hold the cells.
+
+    Legalization raises this instead of placing a cell outside a row.
+    """
+
+
+#: Weight of a cell's quadratic x against its width-quantile x when the
+#: spreading step picks the x a cell asks Abacus for (1.0 keeps the
+#: quadratic x, 0.0 spreads every row evenly).
+SPREAD_BLEND = 0.75
+
+
+def _spread(
+    sites: dict[str, int],
+    capacity: list[int],
+    desired: dict[str, tuple[float, float]],
+) -> list[list[str]]:
+    """FastPlace-style cell shifting onto rows (Viswanathan & Chu, 2004).
+
+    Cells sorted by wanted y, then x, go to rows by the quantile of their
+    cumulative width, so every row carries about its share of the total
+    width; a row that cannot take a cell passes it to the next one.
+    Returns the cell names of each row, sorted by wanted x.
+    """
+    order = sorted(sites, key=lambda name: (desired[name][1], desired[name][0]))
+    share = sum(sites.values()) / sum(capacity)
+    members: list[list[str]] = [[] for _ in capacity]
+    row, load, done = 0, 0, 0
+    bound = share * capacity[0]
+    for name in order:
+        width = sites[name]
+        while row < len(capacity) - 1 and (
+            done + width / 2.0 > bound or load + width > capacity[row]
+        ):
+            row += 1
+            load = 0
+            bound += share * capacity[row]
+        members[row].append(name)
+        load += width
+        done += width
+    for names in members:
+        names.sort(key=lambda name: desired[name][0])
+    return members
+
+
+def _abacus(widths: list[int], targets: list[float], capacity: int) -> list[int]:
+    """Abacus row packing (Spindler, Schlichtmann & Johannes, ISPD 2008).
+
+    Places cells of ``widths`` (in sites, kept in the given order) at
+    site offsets in ``[0, capacity]`` that minimize the summed squared
+    distance to ``targets``.  Each cluster of abutting cells sits at the
+    mean of its cells' targets, clamped to the row and snapped to a
+    site; a cluster that then overlaps its left neighbour merges into it.
+    """
+    if sum(widths) > capacity:
+        raise PlacementError(
+            f"row of {capacity} sites cannot hold {sum(widths)} sites of cells"
+        )
+    # Each cluster is [weight, q, width, x, first cell, end cell].
+    clusters: list[list] = []
+    for index, (width, target) in enumerate(zip(widths, targets)):
+        last = clusters[-1] if clusters else None
+        if last is not None and last[3] + last[2] > target:
+            last[0] += 1
+            last[1] += target - last[2]
+            last[2] += width
+            last[5] = index + 1
+        else:
+            clusters.append([1, target, width, 0, index, index + 1])
+        while True:
+            cluster = clusters[-1]
+            cluster[3] = min(
+                max(round(cluster[1] / cluster[0]), 0), capacity - cluster[2]
+            )
+            if len(clusters) < 2:
+                break
+            prev = clusters[-2]
+            if prev[3] + prev[2] <= cluster[3]:
+                break
+            prev[0] += cluster[0]
+            prev[1] += cluster[1] - cluster[0] * prev[2]
+            prev[2] += cluster[2]
+            prev[5] = cluster[5]
+            clusters.pop()
+    starts: list[int] = []
+    for _, _, _, x, first, end in clusters:
+        for index in range(first, end):
+            starts.append(x)
+            x += widths[index]
+    return starts
+
+
 def _legalize(
     mapped: MappedNetlist,
     floorplan: Floorplan,
     desired: dict[str, tuple[float, float]],
+    tracer,
 ) -> dict[str, PlacedCell]:
-    """Tetris legalization: snap cells into rows without overlap."""
-    site = max(floorplan.rows[0].height / 10.0, 1e-3)
-    order = sorted(mapped.cells, key=lambda inst: desired[inst.name][0])
-    next_x = {row.index: row.x0 for row in floorplan.rows}
-    placed: dict[str, PlacedCell] = {}
+    """Spread the cells over the rows, then pack each row with Abacus.
 
-    for inst in order:
-        x_want, y_want = desired[inst.name]
-        width = inst.cell.area_um2 / floorplan.rows[0].height
-        width = max(site, round(width / site) * site)
-        best: tuple[float, int, float] | None = None  # (cost, row idx, x)
-        for row in floorplan.rows:
-            x = max(next_x[row.index], min(x_want, row.x1 - width))
-            if x + width > row.x1 and next_x[row.index] > row.x0:
-                continue  # row is full
-            cost = abs(x - x_want) + abs(row.y - y_want)
-            if best is None or cost < best[0]:
-                best = (cost, row.index, x)
-        if best is None:  # every row "full": overflow into least-used row
-            row_idx = min(next_x, key=next_x.get)
-            best = (0.0, row_idx, next_x[row_idx])
-        _, row_idx, x = best
-        row = floorplan.rows[row_idx]
-        placed[inst.name] = PlacedCell(inst.name, x, row.y, width, row.height)
-        next_x[row_idx] = x + width
+    ``desired`` maps each cell to the centre it wants.  Raises
+    :class:`PlacementError` when the rows cannot hold the cells.
+    """
+    with tracer.span("place.legalize") as sp:
+        rows = floorplan.rows
+        site = max(rows[0].height / 10.0, 1e-3)
+        sites = {
+            inst.name: max(1, round(inst.cell.area_um2 / rows[0].height / site))
+            for inst in mapped.cells
+        }
+        capacity = [math.floor(row.width / site + 1e-9) for row in rows]
+        placed: dict[str, PlacedCell] = {}
+        for row, cap, names in zip(
+            rows, capacity, _spread(sites, capacity, desired)
+        ):
+            widths = [sites[name] for name in names]
+            load = sum(widths)
+            cursor = 0
+            targets = []
+            for name, width in zip(names, widths):
+                # Blend the wanted x with the cell's width quantile, both
+                # as lower-left corners in sites from the row start.
+                quantile = (cursor + width / 2.0) * cap / load
+                wanted = (desired[name][0] - row.x0) / site
+                targets.append(
+                    SPREAD_BLEND * wanted + (1.0 - SPREAD_BLEND) * quantile
+                    - width / 2.0
+                )
+                cursor += width
+            for name, width, start in zip(
+                names, widths, _abacus(widths, targets, cap)
+            ):
+                placed[name] = PlacedCell(
+                    name, row.x0 + start * site, row.y, width * site,
+                    row.height,
+                )
+        if tracer.enabled:
+            sp.set(**_legalize_stats(placed, floorplan, desired))
     return placed
+
+
+def _legalize_stats(
+    placed: dict[str, PlacedCell],
+    floorplan: Floorplan,
+    desired: dict[str, tuple[float, float]],
+) -> dict[str, float]:
+    """Span attributes that show whether legalization did its job.
+
+    Displacement is the Manhattan distance from the wanted centre to the
+    legal one; ``cells_outside_rows`` is checked from the final
+    positions, independently of how they were found.
+    """
+    eps = 1e-6
+    rows = {row.y: row for row in floorplan.rows}
+    fill = dict.fromkeys(rows, 0.0)
+    moves = []
+    outside = 0
+    for name, cell in placed.items():
+        x, y = desired[name]
+        moves.append(abs(cell.cx - x) + abs(cell.cy - y))
+        row = rows.get(cell.y)
+        if (row is None or cell.x < row.x0 - eps
+                or cell.x + cell.width > row.x1 + eps):
+            outside += 1
+        else:
+            fill[cell.y] += cell.width
+    return {
+        "max_displacement_um": round(max(moves, default=0.0), 3),
+        "mean_displacement_um": round(
+            sum(moves) / len(moves) if moves else 0.0, 3
+        ),
+        "peak_row_fill": round(
+            max(fill[y] / row.width for y, row in rows.items()), 4
+        ),
+        "cells_outside_rows": outside,
+    }
 
 
 class IncrementalHpwl:
@@ -480,8 +633,7 @@ def place(
     with tracer.span("place.global") as sp:
         desired = _quadratic_positions(mapped, floorplan)
         sp.set(cells=len(desired))
-    with tracer.span("place.legalize"):
-        placed = _legalize(mapped, floorplan, desired)
+    placed = _legalize(mapped, floorplan, desired, tracer)
     if detailed_passes > 0:
         total = _swap_pass(mapped, placed, floorplan, detailed_passes, seed,
                            tracer=tracer)
@@ -503,7 +655,7 @@ def random_place(
         )
         for inst in mapped.cells
     }
-    placed = _legalize(mapped, floorplan, desired)
+    placed = _legalize(mapped, floorplan, desired, get_tracer())
     xy = {n: (c.cx, c.cy) for n, c in placed.items()}
     total = hpwl(net_pin_positions(mapped, xy, floorplan))
     return Placement(placed, floorplan, round(total, 3))

@@ -16,9 +16,10 @@ Both consumers store their blobs in the one store of
 Keeping the implementation in one module is the contract: the two paths
 can never drift, because there is only one path.  The base payload is
 (canonical RTL, PDK name, preset knobs, seed) — exactly what the stage
-artifacts depend on; a consumer whose artifact depends on more (the
-result cache also keys on clock period, DRC strictness, …) folds the
-surplus in through ``extra`` without disturbing base-key compatibility.
+artifacts depend on — plus the package version, so blobs written by a
+release with other engines miss.  A consumer whose artifact depends on
+more (the result cache also keys on clock period, DRC strictness, …)
+folds the surplus in through ``extra`` without disturbing the base key.
 """
 
 from __future__ import annotations
@@ -50,13 +51,17 @@ def flow_cache_key(module, pdk_name: str, preset, seed: int,
 
     The module contributes its canonical Verilog text (not its object
     identity), so two builds of the same RTL share checkpoints and any
-    edit — however small — misses.  With ``extra=None`` the key is
-    byte-compatible with the historical checkpoint key; a non-empty
-    ``extra`` dict mixes additional request knobs into the hash.
+    edit — however small — misses.  ``repro.__version__`` is hashed too,
+    so a store populated by another release misses instead of serving
+    that release's placements and routes.  With ``extra=None`` the key
+    is the checkpoint key; a non-empty ``extra`` dict mixes additional
+    request knobs into the hash.
     """
+    from .. import __version__
     from ..hdl.verilog import to_verilog
 
     payload = {
+        "version": __version__,
         "rtl": to_verilog(module),
         "pdk": pdk_name,
         "preset": canonical(preset),

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+import repro
 from repro.core import (
     AccessTier,
     CloudPlatform,
@@ -369,6 +370,21 @@ class TestCheckpointResume:
         run_flow(module, pdk,
                  FlowOptions(seed=3, checkpoints=store, resume=False))
         assert store.hits == hits_before
+
+    def test_store_from_an_older_release_misses(self, monkeypatch):
+        # Blobs written by a release with other placement and routing
+        # engines must not be served to this one.
+        module, pdk = counter_module(), get_pdk("edu130")
+        store = MemoryBlobStore()
+        current = repro.__version__
+        monkeypatch.setattr(repro, "__version__", "1.0.0")
+        old_key = flow_cache_key(module, pdk.name, OPEN, 3)
+        run_flow(module, pdk, FlowOptions(seed=3, checkpoints=store))
+        monkeypatch.setattr(repro, "__version__", current)
+        assert flow_cache_key(module, pdk.name, OPEN, 3) != old_key
+        run_flow(module, pdk, FlowOptions(seed=3, checkpoints=store))
+        assert store.hits == 0
+        assert store.misses == 2 * len(CHECKPOINT_STAGES)
 
     def test_different_seed_different_key(self):
         module, pdk = counter_module(), get_pdk("edu130")
