@@ -1,9 +1,10 @@
 """Floorplanning: die sizing, row creation and IO pin assignment.
 
 The die is sized from total standard-cell area at a target utilization,
-rows are cut at the node's row height, and top-level ports get fixed pin
-positions on the die boundary (inputs west, outputs east) — the anchors
-the quadratic placer pulls against.
+rows are cut at the node's row height (never narrower than the widest
+cell), and top-level ports get fixed pin positions on the die boundary
+(inputs west, outputs east) — the anchors the quadratic placer pulls
+against.
 """
 
 from __future__ import annotations
@@ -101,10 +102,18 @@ def make_floorplan(
     if quantize_um2 and quantize_um2 > 0:
         core_area = math.ceil(core_area / quantize_um2) * quantize_um2
     core_height = math.sqrt(core_area / aspect_ratio)
-    # Snap core height to a whole number of rows.
+    # Snap core height to a whole number of rows, using fewer rows when
+    # needed so that every row is at least as wide as the widest cell.
     n_rows = max(1, math.ceil(core_height / node.row_height_um))
+    widest = max(
+        (inst.cell.area_um2 for inst in mapped.cells), default=0.0
+    ) / node.row_height_um
+    if widest > 0:
+        n_rows = max(1, min(
+            n_rows, math.floor(core_area / (node.row_height_um * widest))
+        ))
     core_height = n_rows * node.row_height_um
-    core_width = core_area / core_height
+    core_width = max(core_area / core_height, widest)
 
     margin = core_margin_rows * node.row_height_um
     die_width = core_width + 2 * margin

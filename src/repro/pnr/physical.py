@@ -158,7 +158,9 @@ def implement(
                     mapped, floorplan, seed=seed, tracer=tracer
                 )
             elif placer == "random":
-                placement = random_place(mapped, floorplan, seed=seed)
+                placement = random_place(
+                    mapped, floorplan, seed=seed, tracer=tracer
+                )
             else:
                 raise ValueError(f"unknown placer {placer!r}")
             preserve("placement", placement)

@@ -234,24 +234,74 @@ def _spread(
     Cells sorted by wanted y, then x, go to rows by the quantile of their
     cumulative width, so every row carries about its share of the total
     width; a row that cannot take a cell passes it to the next one.
+    Whatever the last row then cannot hold goes to the nearest earlier
+    row with room for it, directly or in exchange for a narrower cell.
     Returns the cell names of each row, sorted by wanted x.
+
+    Raises :class:`PlacementError` when the cells are wider in total than
+    the rows, when a cell is wider than every row, or when the free space
+    is too fragmented for them (four cells of 6 sites in three rows of
+    10, say).
     """
+    total = sum(sites.values())
+    if total > sum(capacity):
+        raise PlacementError(
+            f"rows of {sum(capacity)} sites cannot hold {total} sites of cells"
+        )
+    widest = max(sites.values(), default=0)
+    if widest > max(capacity):
+        raise PlacementError(
+            f"a cell of {widest} sites is wider than every row"
+        )
     order = sorted(sites, key=lambda name: (desired[name][1], desired[name][0]))
-    share = sum(sites.values()) / sum(capacity)
+    share = total / sum(capacity)
     members: list[list[str]] = [[] for _ in capacity]
-    row, load, done = 0, 0, 0
+    loads = [0] * len(capacity)
+    row, done = 0, 0
     bound = share * capacity[0]
     for name in order:
         width = sites[name]
         while row < len(capacity) - 1 and (
-            done + width / 2.0 > bound or load + width > capacity[row]
+            done + width / 2.0 > bound or loads[row] + width > capacity[row]
         ):
             row += 1
-            load = 0
             bound += share * capacity[row]
         members[row].append(name)
-        load += width
+        loads[row] += width
         done += width
+    # Only the last row can be over capacity.  Each step moves one of its
+    # cells to the nearest row with room for it, or swaps it there for a
+    # narrower cell; either way the last row sheds width, and no other
+    # row goes over.
+    last = members[-1]
+    while loads[-1] > capacity[-1]:
+        step = next(
+            (
+                (row, name, other)
+                for row in reversed(range(len(capacity) - 1))
+                for name in last
+                for other in (None, *members[row])
+                if loads[row] + sites[name] - sites.get(other, 0)
+                <= capacity[row]
+                and sites.get(other, 0) < sites[name]
+            ),
+            None,
+        )
+        if step is None:
+            surplus = loads[-1] - capacity[-1]
+            raise PlacementError(
+                f"free row space is too fragmented for {surplus} sites of cells"
+            )
+        row, name, other = step
+        last.remove(name)
+        members[row].append(name)
+        shed = sites[name]
+        if other is not None:
+            members[row].remove(other)
+            last.append(other)
+            shed -= sites[other]
+        loads[row] += shed
+        loads[-1] -= shed
     for names in members:
         names.sort(key=lambda name: desired[name][0])
     return members
@@ -644,9 +694,11 @@ def place(
 
 
 def random_place(
-    mapped: MappedNetlist, floorplan: Floorplan, seed: int = 1
+    mapped: MappedNetlist, floorplan: Floorplan, seed: int = 1, tracer=None
 ) -> Placement:
     """Random legal placement — the placer ablation baseline."""
+    if tracer is None:
+        tracer = get_tracer()
     rng = random.Random(seed)
     desired = {
         inst.name: (
@@ -655,7 +707,7 @@ def random_place(
         )
         for inst in mapped.cells
     }
-    placed = _legalize(mapped, floorplan, desired, get_tracer())
+    placed = _legalize(mapped, floorplan, desired, tracer)
     xy = {n: (c.cx, c.cy) for n, c in placed.items()}
     total = hpwl(net_pin_positions(mapped, xy, floorplan))
     return Placement(placed, floorplan, round(total, 3))

@@ -2,9 +2,10 @@
 
 The legalizer spreads cells over the rows by width quantile and packs
 each row with Abacus.  These tests pin its invariant on every catalogue
-design under both presets and all three PDKs, its row-packing
-behaviour on hand-made rows, its refusal to spill past a row, and the
-routing convergence the legal placement buys.
+design under both presets and all three PDKs and on one- and two-cell
+designs whose widest cell is wide next to the core, its row-assignment
+and row-packing behaviour on hand-made rows, its refusal to spill past
+a row, and the routing convergence the legal placement buys.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import repro.pnr.placement as placement_module
 from repro.core import COMMERCIAL, OPEN, FlowOptions, run_flow
 from repro.core.flow import FlowError
 from repro.core.steps import FlowStep
+from repro.hdl import ModuleBuilder
 from repro.ip import catalogue, generate
 from repro.obs import Tracer
 from repro.obs.trace import NULL_TRACER
@@ -27,7 +29,7 @@ from repro.pnr import (
     place,
     random_place,
 )
-from repro.pnr.placement import _abacus
+from repro.pnr.placement import _abacus, _spread
 from repro.resil.failure import FlowFailure
 from repro.synth import synthesize
 
@@ -143,6 +145,94 @@ class TestAbacus:
             _abacus([5, 6], [0.0, 0.0], 10)
 
 
+def one_flop():
+    builder = ModuleBuilder("one_flop")
+    q = builder.register("q", 1)
+    q.next = builder.input("d", 1)
+    builder.output("out", q)
+    return builder.build()
+
+
+def toggle_flop():
+    builder = ModuleBuilder("toggle_flop")
+    q = builder.register("q", 1)
+    q.next = ~q
+    builder.output("out", q)
+    return builder.build()
+
+
+TINY = {"one_flop": one_flop, "toggle_flop": toggle_flop}
+
+
+@pytest.mark.parametrize("design", sorted(TINY))
+@pytest.mark.parametrize("preset_name", sorted(PRESETS))
+@pytest.mark.parametrize("pdk_name", PDKS)
+def test_tiny_design_flow_completes(pdk_name, preset_name, design):
+    result = run_flow(
+        TINY[design](), get_pdk(pdk_name),
+        FlowOptions(preset=PRESETS[preset_name]),
+    )
+    assert result.failures == []
+    assert_legal(result.physical.placement)
+
+
+@pytest.mark.parametrize("utilization", [0.35, 0.45, 0.7, 0.9, 1.0])
+@pytest.mark.parametrize("design", sorted(TINY))
+@pytest.mark.parametrize("pdk_name", PDKS)
+def test_tiny_design_rows_take_the_widest_cell(pdk_name, design, utilization):
+    pdk = get_pdk(pdk_name)
+    mapped = synthesize(TINY[design](), pdk.library).mapped
+    floorplan = make_floorplan(mapped, pdk.node, utilization=utilization)
+    widest = max(inst.cell.area_um2 for inst in mapped.cells)
+    for row in floorplan.rows:
+        assert row.width * row.height >= widest - EPS
+    assert_legal(place(mapped, floorplan))
+    assert_legal(random_place(mapped, floorplan))
+
+
+def spread_rows(widths: list[int], capacity: list[int]) -> list[list[int]]:
+    """Widths of the cells ``_spread`` puts in each row.
+
+    Cell ``i`` wants y = ``i`` and x = 0, so the cells arrive in list
+    order.
+    """
+    sites = {f"c{i}": width for i, width in enumerate(widths)}
+    desired = {f"c{i}": (0.0, float(i)) for i in range(len(widths))}
+    rows = _spread(sites, capacity, desired)
+    assert sorted(name for names in rows for name in names) == sorted(sites)
+    return [[sites[name] for name in names] for names in rows]
+
+
+class TestSpread:
+    def test_rows_share_the_width_by_quantile(self):
+        assert spread_rows([2] * 6, [10, 10, 10]) == [[2, 2], [2, 2], [2, 2]]
+
+    def test_last_row_surplus_moves_to_a_row_with_room(self):
+        # Forward filling leaves 6+4+6 in the last row; the first row
+        # still has room for a 4.
+        rows = spread_rows([6, 6, 4, 4, 4, 6], [10, 10, 10])
+        assert rows == [[6, 4], [6, 4], [4, 6]]
+
+    def test_last_row_surplus_swaps_for_a_narrower_cell(self):
+        # The first row has 2 sites free, too few for a 6; swapping one
+        # of its 4s for the 6 frees 2 sites in the last row.
+        rows = spread_rows([4, 4, 6, 6], [10, 10])
+        assert sorted(map(sum, rows)) == [10, 10]
+
+    def test_over_capacity_raises(self):
+        with pytest.raises(PlacementError, match="cannot hold"):
+            spread_rows([6, 6], [5, 5])
+
+    def test_cell_wider_than_every_row_raises(self):
+        with pytest.raises(PlacementError, match="wider than every row"):
+            spread_rows([11], [10, 10])
+
+    def test_fragmented_free_space_raises(self):
+        # 24 sites in 30, but no row takes two 6-site cells.
+        with pytest.raises(PlacementError, match="fragmented"):
+            spread_rows([6, 6, 6, 6], [10, 10, 10])
+
+
 @pytest.fixture(scope="module")
 def counter():
     return generate("counter").module
@@ -164,6 +254,13 @@ class TestOverCapacity:
         floorplan = shrink_rows(make_floorplan(mapped, pdk.node), 0.2)
         with pytest.raises(PlacementError):
             place(mapped, floorplan)
+
+    def test_random_place_raises_instead_of_spilling(self, counter):
+        pdk = get_pdk("edu130")
+        mapped = synthesize(counter, pdk.library).mapped
+        floorplan = shrink_rows(make_floorplan(mapped, pdk.node), 0.2)
+        with pytest.raises(PlacementError):
+            random_place(mapped, floorplan)
 
     def test_run_flow_reports_a_placement_failure(self, counter, monkeypatch):
         real = physical_module.make_floorplan
@@ -194,6 +291,14 @@ class TestLegalizeSpan:
         assert attrs["cells_outside_rows"] == 0
         assert 0 < attrs["peak_row_fill"] <= 1.0
         assert 0 < attrs["mean_displacement_um"] <= attrs["max_displacement_um"]
+
+    def test_random_placer_reports_on_the_given_tracer(self, counter):
+        pdk = get_pdk("edu130")
+        mapped = synthesize(counter, pdk.library).mapped
+        tracer = Tracer()
+        implement(mapped, pdk, placer="random", tracer=tracer)
+        attrs = tracer.find("place.legalize").attributes
+        assert attrs["cells_outside_rows"] == 0
 
     def test_null_tracer_skips_the_statistics(self, counter, monkeypatch):
         def boom(*args, **kwargs):
