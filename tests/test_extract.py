@@ -7,14 +7,19 @@ netlist — and the must-fail half plants seeded trojans that the check
 has to catch.
 """
 
+import hashlib
+import json
 import random
 import struct as struct_mod
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core.flow import FlowResult, run_flow
 from repro.core.options import FlowOptions
+from repro.core.presets import COMMERCIAL, OPEN
 from repro.core.signoff import run_signoff
 from repro.extract import (
     TROJAN_KINDS,
@@ -28,8 +33,9 @@ from repro.extract import (
     run_lvs,
 )
 from repro.ip.catalog import catalogue, generate
-from repro.layout import build_chip_gds, read_gds, write_gds
+from repro.layout import build_chip_gds, check_drc, read_gds, write_gds
 from repro.layout.chip import cell_master_struct
+from repro.layout.drc import _flatten_coords
 from repro.layout.lvs import LvsReport, check_lvs
 from repro.pdk import get_pdk
 from repro.pnr import implement
@@ -48,6 +54,138 @@ def counter_stack(pdk):
     design = implement(mapped, pdk)
     data = write_gds(build_chip_gds(design))
     return mapped, design, data
+
+
+PRESETS = {"OPEN": OPEN, "COMMERCIAL": COMMERCIAL}
+
+
+@pytest.fixture(scope="module")
+def catalogue_builds(pdk):
+    """``(preset, design) -> (library, gds bytes)`` for every catalogue
+    design under both presets, built with the preset's knobs exactly as
+    ``run_flow`` passes them."""
+    builds = {}
+    for preset_name, preset in PRESETS.items():
+        for name in catalogue():
+            mapped = synthesize(
+                generate(name).module, pdk.library,
+                objective=preset.mapping_objective,
+                opt_passes=preset.opt_passes,
+                sizing=preset.gate_sizing,
+                max_load_per_drive_ff=preset.max_load_per_drive_ff,
+            ).mapped
+            library = build_chip_gds(implement(
+                mapped, pdk,
+                utilization=preset.utilization,
+                detailed_placement_passes=preset.detailed_placement_passes,
+                cts_buffering=preset.cts_buffering,
+                router_rip_up=preset.router_rip_up,
+                placer=preset.placer,
+            ))
+            builds[preset_name, name] = library, write_gds(library)
+    return builds
+
+
+def sha256(text: str | bytes) -> str:
+    if isinstance(text, str):
+        text = text.encode()
+    return hashlib.sha256(text).hexdigest()
+
+
+def extraction_signature(result) -> str:
+    """Everything an :class:`ExtractionResult` says, in a stable text."""
+    return json.dumps({
+        "top": result.top,
+        "n_nets": result.n_nets,
+        "shapes": result.shapes,
+        "ports": result.ports,
+        "mismatches": result.mismatches,
+        "instances": [
+            [inst.name, inst.cell.name, list(inst.position),
+             list(inst.pins.items())]
+            for inst in result.instances
+        ],
+        "masters": [[k, v.name] for k, v in result.master_map.items()],
+    })
+
+
+def drc_signature(report) -> str:
+    return json.dumps({
+        "checked_rects": report.checked_rects,
+        "violations": [
+            [v.rule, v.layer, v.detail, [v.rect.x0, v.rect.y0,
+                                         v.rect.x1, v.rect.y1]]
+            for v in report.violations
+        ],
+    })
+
+
+def flat_signature(library, top: str) -> str:
+    """Digest of DRC's flattened per-(layer, datatype) arrays."""
+    digest = hashlib.sha256()
+    for key, coords in sorted(_flatten_coords(library, top).items()):
+        digest.update(repr(key).encode())
+        digest.update(np.ascontiguousarray(coords).tobytes())
+    return digest.hexdigest()
+
+
+def golden_record(data: bytes, pdk) -> dict:
+    """The golden hashes of one GDS stream."""
+    library = read_gds(data)
+    top = infer_top(library).name
+    return {
+        "gds": sha256(data),
+        "extraction": sha256(extraction_signature(extract_netlist(data, pdk))),
+        "drc": sha256(drc_signature(check_drc(library, pdk.layers, top))),
+        "drc_flat": flat_signature(library, top),
+    }
+
+
+def tampered(data: bytes, pdk) -> bytes:
+    """The stream with foreign geometry and broken port labels: floating
+    net shapes on li and met1, drawing met1 too thin and too close, one
+    port label moved off the layout and one label duplicated."""
+    library = read_gds(data)
+    top = infer_top(library)
+    li = pdk.layers.by_name("li").gds_layer
+    met1 = pdk.layers.by_name("met1").gds_layer
+    label = pdk.layers.by_name("label").gds_layer
+    top.add_rect_um(met1, 1, 1.0, 1.0, 3.0, 1.002)
+    top.add_rect_um(li, 1, 0.5, 0.5, 0.6, 0.6)
+    top.add_rect_um(met1, 0, 1.0, 1.0, 1.01, 1.5)
+    top.add_rect_um(met1, 0, 1.05, 1.0, 1.3, 1.5)
+    labels = [t for t in top.texts if t.layer == label]
+    labels[0].position = (-5000, -5000)
+    top.texts.append(labels[1])
+    return write_gds(library)
+
+
+#: Hashes captured from the union-find extractor and the per-point DRC
+#: flatten before they moved onto arrays: every catalogue design under
+#: OPEN and COMMERCIAL on edu130, every trojan class planted in the OPEN
+#: counter, and the tampered OPEN counter (floating islands, port label
+#: mismatches, DRC violations).
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "extract_golden.json").read_text()
+)
+
+
+class TestGolden:
+    def test_catalogue_matches_golden(self, catalogue_builds, pdk):
+        for (preset_name, name), (_, data) in catalogue_builds.items():
+            key = f"{preset_name}/{name}"
+            assert golden_record(data, pdk) == GOLDEN[key], key
+
+    def test_trojans_match_golden(self, catalogue_builds, pdk):
+        _, data = catalogue_builds["OPEN", "counter"]
+        for kind in TROJAN_KINDS:
+            mutant, _ = mutate_gds(data, seed=1, kind=kind)
+            key = f"trojan/{kind}"
+            assert golden_record(mutant, pdk) == GOLDEN[key], key
+
+    def test_tampered_matches_golden(self, catalogue_builds, pdk):
+        _, data = catalogue_builds["OPEN", "counter"]
+        assert golden_record(tampered(data, pdk), pdk) == GOLDEN["tampered"]
 
 
 class TestGdsHardening:
@@ -125,11 +263,9 @@ class TestGdsHardening:
         with pytest.raises(ValueError, match="UNITS"):
             read_gds(bytes(blob))
 
-    def test_roundtrip_every_catalogue_design(self, pdk):
-        for name in catalogue():
-            mapped = synthesize(generate(name).module, pdk.library).mapped
-            library = build_chip_gds(implement(mapped, pdk))
-            parsed = read_gds(write_gds(library))
+    def test_roundtrip_every_catalogue_design(self, catalogue_builds):
+        for library, data in catalogue_builds.values():
+            parsed = read_gds(data)
             assert [s.name for s in parsed.structs] == [
                 s.name for s in library.structs
             ]
