@@ -4,8 +4,8 @@ Times the two halves of the GDS-in signoff path
 (:mod:`repro.extract`) on a spread of catalogue designs:
 
 * **extract_netlist** — stream parse + fingerprint identification +
-  flatten + union-find connectivity, reported as shapes/s (the
-  geometry-bound half).
+  array flatten + touch-graph connected components, reported as
+  shapes/s (the geometry-bound half).
 * **run_lvs** — the full gate: extraction, census pre-check, net-by-net
   comparison, and the LEC miter against the mapped netlist.
 

@@ -9,6 +9,7 @@ repeated measurement rounds.
 from conftest import build_alu_design, build_counter, build_mac_pipe
 
 from repro.core import OPEN, FlowOptions, run_flow
+from repro.extract import extract_netlist, run_lvs
 from repro.ip import make_soc
 from repro.layout import build_chip_gds, write_gds
 from repro.pdk import get_pdk
@@ -89,6 +90,24 @@ def test_perf_gds_export(benchmark):
 
     data = benchmark(export)
     assert len(data) > 100
+
+
+def test_perf_extract_soc(benchmark):
+    """GDS-in extraction of the soc: parse, identify, flatten, touch
+    graph; the recovered netlist must pass LVS and LEC."""
+    pdk = get_pdk("edu130")
+    mapped = synthesize(make_soc().module, pdk.library).mapped
+    design = implement(mapped, pdk)
+    data = write_gds(build_chip_gds(design))
+    extraction = benchmark(extract_netlist, data, pdk)
+    assert extraction.clean, extraction.mismatches[:5]
+    assert len(extraction.instances) == len(mapped.cells)
+    report = run_lvs(
+        data, mapped, pdk,
+        expected_pins={pin.name for pin in design.floorplan.io_pins},
+    )
+    assert report.clean, report.mismatches[:5]
+    assert report.lec_equivalent is True
 
 
 def test_perf_full_flow(benchmark):

@@ -287,7 +287,7 @@ def run_lvs(
     with tracer.span("extract.lvs", design=mapped.name) as sp:
         try:
             library = (
-                read_gds(bytes(source))
+                read_gds(bytes(source), tracer)
                 if isinstance(source, (bytes, bytearray))
                 else source
             )

@@ -10,9 +10,11 @@ The pipeline, given nothing but a stream and a PDK:
    (:data:`repro.pdk.layers.NET_DATATYPE`) — instance pin pads carry
    their ``(instance, pin)`` owner, resolved through the master's
    ``met1``-layer pin labels;
-4. union-find over the touch graph: same-layer contact merges, ``lic``
-   joins ``li``/``met1``, ``via1`` joins ``met1``/``met2``; crossings
-   without a cut stay separate;
+4. connected components of the touch graph, built on ``(n, 4)`` int64
+   arrays (:func:`repro.extract.geom.touch_graph`): same-layer contact
+   merges, ``lic`` joins ``li``/``met1``, ``via1`` joins
+   ``met1``/``met2``; crossings without a cut stay separate, and so do
+   cuts that touch only each other;
 5. connected components become nets; top-level port labels bind to the
    li pad under them; geometry attached to no pin or port is flagged as
    floating (legitimate fabric is always attached by construction).
@@ -27,15 +29,27 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ..layout.gds import GdsLibrary, read_gds
+import numpy as np
+
+from ..layout.gds import GdsLibrary, boundary_bboxes, read_gds
 from ..obs.trace import get_tracer
 from ..pdk.cells import StandardCell
 from ..pdk.layers import NET_DATATYPE
 from ..pdk.pdks import Pdk
-from .geom import Rect, RectIndex, UnionFind, connect_touching
+from .geom import components, touch_graph
 from .identify import identify_masters, infer_top
 
 _PORT_RE = re.compile(r"^(.+)\[(\d+)\]$")
+
+#: The layers that carry net-purpose geometry.
+NET_LAYERS = ("li", "lic", "met1", "via1", "met2")
+#: Which layers' shapes connect where they touch: every metal within
+#: itself, and each cut layer with its two neighbours.  Cut shapes that
+#: touch only each other stay apart.
+RELATIONS = (
+    ("li", "li"), ("met1", "met1"), ("met2", "met2"),
+    ("lic", "li"), ("lic", "met1"), ("via1", "met1"), ("via1", "met2"),
+)
 
 
 @dataclass
@@ -81,20 +95,18 @@ class ExtractionResult:
 def _master_pads(
     struct, cell: StandardCell, li_layer: int, met1_layer: int,
     mismatches: list[str],
-) -> list[tuple[Rect, str]]:
-    """(pad rect, pin name) within one master, via its met1 pin labels."""
-    pads = [
-        (
-            min(p[0] for p in b.points), min(p[1] for p in b.points),
-            max(p[0] for p in b.points), max(p[1] for p in b.points),
-        )
-        for b in struct.boundaries
-        if b.layer == li_layer and b.datatype == NET_DATATYPE
-    ]
+) -> tuple[np.ndarray, list[str]]:
+    """``(pad rects, pin names)`` within one master, via its met1 pin
+    labels: one ``(n, 4)`` array and the pin of each row."""
+    pads = boundary_bboxes(
+        [b for b in struct.boundaries
+         if b.layer == li_layer and b.datatype == NET_DATATYPE],
+        struct.name,
+    ).tolist()
     labels = [
         (t.text, t.position) for t in struct.texts if t.layer == met1_layer
     ]
-    resolved: list[tuple[Rect, str]] = []
+    resolved: list[tuple[list[int], str]] = []
     claimed: set[int] = set()
     for pin, (x, y) in labels:
         hit = None
@@ -121,7 +133,11 @@ def _master_pads(
             f"master {struct.name!r}: pins {sorted(found)} do not match "
             f"cell {cell.name} pins {sorted(expected)}"
         )
-    return resolved
+    return (
+        np.array([rect for rect, _ in resolved], dtype=np.int64)
+        .reshape(-1, 4),
+        [pin for _, pin in resolved],
+    )
 
 
 def extract_netlist(
@@ -135,7 +151,7 @@ def extract_netlist(
     if tracer is None:
         tracer = get_tracer()
     library = (
-        read_gds(bytes(source))
+        read_gds(bytes(source), tracer)
         if isinstance(source, (bytes, bytearray))
         else source
     )
@@ -145,11 +161,9 @@ def extract_netlist(
         top = infer_top(library)
     result = ExtractionResult(top=top.name)
 
-    li = pdk.layers.by_name("li").gds_layer
-    lic = pdk.layers.by_name("lic").gds_layer
-    met1 = pdk.layers.by_name("met1").gds_layer
-    via1 = pdk.layers.by_name("via1").gds_layer
-    met2 = pdk.layers.by_name("met2").gds_layer
+    gds_layer = {
+        name: pdk.layers.by_name(name).gds_layer for name in NET_LAYERS
+    }
     label = pdk.layers.by_name("label").gds_layer
 
     with tracer.span("extract.identify") as sp:
@@ -159,29 +173,21 @@ def extract_netlist(
         if tracer.enabled:
             sp.set(masters=len(mapping), anomalies=len(mismatches))
 
-    pads_of: dict[str, list[tuple[Rect, str]]] = {}
+    pads_of: dict[str, tuple[np.ndarray, list[str]]] = {}
     for struct in library.structs:
         if struct is top or struct.name not in mapping:
             continue
         pads_of[struct.name] = _master_pads(
-            struct, mapping[struct.name], li, met1, result.mismatches
+            struct, mapping[struct.name], gds_layer["li"],
+            gds_layer["met1"], result.mismatches,
         )
 
     # Flatten every net-purpose shape; pads remember their owner pin.
+    # Shape ids number the pads first, in placement order, then the top
+    # structure's shapes in stream order.
     with tracer.span("extract.flatten") as sp:
-        by_layer: dict[int, list[tuple[int, Rect]]] = {
-            li: [], lic: [], met1: [], via1: [], met2: [],
-        }
-        owner: dict[int, tuple[int, str]] = {}
-        next_id = 0
-
-        def add(layer: int, rect: Rect) -> int:
-            nonlocal next_id
-            sid = next_id
-            next_id += 1
-            by_layer[layer].append((sid, rect))
-            return sid
-
+        pad_parts: list[np.ndarray] = []
+        owners: list[tuple[int, str]] = []
         for index, sref in enumerate(top.srefs):
             if sref.struct_name not in mapping:
                 result.mismatches.append(
@@ -194,53 +200,44 @@ def extract_netlist(
             result.instances.append(ExtractedInstance(
                 name=f"x{index}", cell=cell, position=sref.position,
             ))
+            pads, pins = pads_of[sref.struct_name]
             dx, dy = sref.position
-            for (x0, y0, x1, y1), pin in pads_of[sref.struct_name]:
-                sid = add(li, (x0 + dx, y0 + dy, x1 + dx, y1 + dy))
-                owner[sid] = (index, pin)
-        for b in top.boundaries:
-            if b.datatype != NET_DATATYPE or b.layer not in by_layer:
-                continue
-            add(b.layer, (
-                min(p[0] for p in b.points), min(p[1] for p in b.points),
-                max(p[0] for p in b.points), max(p[1] for p in b.points),
-            ))
-        result.shapes = next_id
+            pad_parts.append(pads + np.array((dx, dy, dx, dy)))
+            owners.extend((index, pin) for pin in pins)
+        net_shapes = [
+            b for b in top.boundaries
+            if b.datatype == NET_DATATYPE and b.layer in gds_layer.values()
+        ]
+        rects = np.concatenate(
+            pad_parts + [boundary_bboxes(net_shapes, top.name)]
+        )
+        shape_layer = np.concatenate((
+            np.full(len(owners), gds_layer["li"]),
+            np.fromiter((b.layer for b in net_shapes), dtype=np.int64,
+                        count=len(net_shapes)),
+        ))
+        # Per layer: (shape ids, rects).
+        by_layer: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for name, layer in gds_layer.items():
+            ids = np.flatnonzero(shape_layer == layer)
+            by_layer[name] = (ids, rects[ids])
+        n_shapes = result.shapes = len(rects)
         if tracer.enabled:
-            sp.set(shapes=next_id, placements=len(top.srefs))
+            sp.set(shapes=n_shapes, placements=len(top.srefs))
 
     # Touch-graph connectivity.
     with tracer.span("extract.connect") as sp:
-        uf = UnionFind(next_id)
-        indexes: dict[int, RectIndex] = {}
-        for layer in (li, met1, met2):
-            index = indexes[layer] = RectIndex()
-            for sid, rect in by_layer[layer]:
-                index.add(sid, rect)
-        # Same-layer contact merges...
-        for layer in (li, met1, met2):
-            connect_touching(uf, by_layer[layer], indexes[layer])
-        # ...and cut layers join their two neighbours.
-        for cut_layer, joined in ((lic, (li, met1)), (via1, (met1, met2))):
-            for target in joined:
-                connect_touching(uf, by_layer[cut_layer], indexes[target])
-
-        net_of_root: dict[int, int] = {}
-        net_of: list[int] = [0] * next_id
-        for sid in range(next_id):
-            root = uf.find(sid)
-            net = net_of_root.get(root)
-            if net is None:
-                net = net_of_root[root] = len(net_of_root)
-            net_of[sid] = net
-        result.n_nets = len(net_of_root)
+        first, second, candidates = touch_graph(by_layer, RELATIONS)
+        result.n_nets, net_array = components(n_shapes, first, second)
+        net_of = net_array.tolist()
         if tracer.enabled:
-            sp.set(nets=result.n_nets)
+            sp.set(nets=result.n_nets, candidate_pairs=candidates,
+                   edges=len(first))
 
     # Instance pins from pad components.
-    for sid, (index, pin) in owner.items():
+    for sid, (index, pin) in enumerate(owners):
         result.instances[index].pins[pin] = net_of[sid]
-    attached: set[int] = {net_of[sid] for sid in owner}
+    attached: set[int] = set(net_of[:len(owners)])
     for index, inst in enumerate(result.instances):
         if inst is None:
             continue
@@ -255,7 +252,9 @@ def extract_netlist(
             )
 
     # Port labels bind to the li pad underneath them.
-    li_index = indexes[li]
+    li_ids, li_rects = by_layer["li"]
+    li_nets = net_array[li_ids]
+    x0, y0, x1, y1 = (np.ascontiguousarray(c) for c in li_rects.T)
     port_bits: dict[str, dict[int, int]] = {}
     for text in top.texts:
         if text.layer != label:
@@ -264,7 +263,10 @@ def extract_netlist(
         if match is None:
             continue
         base, bit = match.group(1), int(match.group(2))
-        hits = {net_of[sid] for sid in li_index.at_point(*text.position)}
+        x, y = text.position
+        hits = set(li_nets[
+            (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+        ].tolist())
         if not hits:
             result.mismatches.append(
                 f"port label {text.text} sits on no net geometry"
@@ -292,14 +294,12 @@ def extract_netlist(
         result.ports[base] = [bits[i] for i in range(len(bits))]
 
     # Anything not reachable from a pin or port is foreign geometry.
-    floating_shapes = sum(
-        1 for sid in range(next_id) if net_of[sid] not in attached
-    )
+    is_attached = np.zeros(result.n_nets, dtype=bool)
+    is_attached[list(attached)] = True
+    floating = net_array[~is_attached[net_array]]
+    floating_shapes = len(floating)
     if floating_shapes:
-        islands = len(
-            {net_of[sid] for sid in range(next_id)
-             if net_of[sid] not in attached}
-        )
+        islands = len(np.unique(floating))
         result.mismatches.append(
             f"{floating_shapes} floating net shapes in {islands} "
             f"disconnected islands"

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..obs.trace import get_tracer
 from ..pdk.layers import LayerStack
-from .gds import GdsLibrary, from_db
+from .gds import DB_UNIT_IN_UM, GdsLibrary, boundary_bboxes, from_db
 from .geometry import Rect
 
 
@@ -94,7 +94,9 @@ def _flatten_coords(
     merely translate it — the checker never materializes per-rect
     objects for the (overwhelmingly clean) common case.  Keying by
     datatype keeps mask purposes apart: DRC checks a layer's drawing
-    purpose without mixing in net-purpose fabric shapes.
+    purpose without mixing in net-purpose fabric shapes.  Bounding boxes
+    are taken in database units and scaled afterwards, which equals
+    scaling every point first because :func:`from_db` is monotonic.
     """
     by_name = {s.name: s for s in library.structs}
     local: dict[str, dict[tuple[int, int], np.ndarray]] = {}
@@ -103,16 +105,13 @@ def _flatten_coords(
     def struct_local(name: str) -> dict[tuple[int, int], np.ndarray]:
         cached = local.get(name)
         if cached is None:
-            per_layer: dict[tuple[int, int], list] = defaultdict(list)
-            for boundary in by_name[name].boundaries:
-                xs = [from_db(p[0]) for p in boundary.points]
-                ys = [from_db(p[1]) for p in boundary.points]
-                per_layer[(boundary.layer, boundary.datatype)].append(
-                    (min(xs), min(ys), max(xs), max(ys))
-                )
+            boundaries = by_name[name].boundaries
+            boxes = boundary_bboxes(boundaries, name) * DB_UNIT_IN_UM
+            rows: dict[tuple[int, int], list[int]] = defaultdict(list)
+            for index, boundary in enumerate(boundaries):
+                rows[(boundary.layer, boundary.datatype)].append(index)
             cached = local[name] = {
-                key: np.array(rows, dtype=np.float64)
-                for key, rows in per_layer.items()
+                key: boxes[index] for key, index in rows.items()
             }
         return cached
 
@@ -150,7 +149,11 @@ def check_drc(
         tracer = get_tracer()
     with tracer.span("drc.flatten") as sp:
         coords_by_gds = _flatten_coords(library, top_name)
-        sp.set(structs=len(library.structs))
+        if tracer.enabled:
+            sp.set(
+                structs=len(library.structs),
+                rects=sum(len(c) for c in coords_by_gds.values()),
+            )
     names = check_layers or [
         l.name for l in layers.layers if l.purpose in ("routing", "via")
     ]

@@ -16,7 +16,13 @@ reals use the GDSII 8-byte excess-64 floating point encoding.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
+
+from ..obs.trace import get_tracer
 
 # Record types (subset).
 HEADER = 0x00
@@ -120,6 +126,39 @@ def from_db(db: int) -> float:
     return db * DB_UNIT_IN_UM
 
 
+def boundary_bboxes(
+    boundaries: Sequence[GdsBoundary], struct_name: str
+) -> np.ndarray:
+    """``(n, 4)`` int64 ``(x0, y0, x1, y1)`` bounding boxes of
+    ``boundaries`` in database units, in one pass over all their points.
+
+    An empty ring has no bounding box: it raises :class:`ValueError`
+    naming ``struct_name`` (``reduceat`` would otherwise fail or return
+    a neighbour's point).
+    """
+    sizes = np.fromiter(
+        (len(b.points) for b in boundaries), dtype=np.int64,
+        count=len(boundaries),
+    )
+    if not len(sizes):
+        return np.empty((0, 4), dtype=np.int64)
+    if not sizes.all():
+        empty = boundaries[int(np.argmin(sizes))]
+        raise ValueError(
+            f"structure {struct_name!r}: boundary on layer "
+            f"{empty.layer}/{empty.datatype} has an empty ring"
+        )
+    xy = np.fromiter(
+        chain.from_iterable(chain.from_iterable(b.points for b in boundaries)),
+        dtype=np.int64, count=2 * int(sizes.sum()),
+    ).reshape(-1, 2)
+    starts = np.zeros_like(sizes)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return np.hstack((
+        np.minimum.reduceat(xy, starts), np.maximum.reduceat(xy, starts)
+    ))
+
+
 # -- low-level encoding --------------------------------------------------------
 
 
@@ -185,8 +224,9 @@ def write_gds(library: GdsLibrary) -> bytes:
             out += _record(
                 DATATYPE, DT_INT16, struct.pack(">h", boundary.datatype)
             )
-            xy = b"".join(
-                struct.pack(">ii", x, y) for x, y in boundary.points
+            points = boundary.points
+            xy = struct.pack(
+                f">{2 * len(points)}i", *chain.from_iterable(points)
             )
             out += _record(XY, DT_INT32, xy)
             out += _record(ENDEL, DT_NONE)
@@ -209,34 +249,53 @@ def write_gds(library: GdsLibrary) -> bytes:
     return bytes(out)
 
 
-def read_gds(data: bytes) -> GdsLibrary:
+def read_gds(data: bytes, tracer=None) -> GdsLibrary:
     """Parse GDSII stream bytes (records written by :func:`write_gds`).
 
     Malformed input raises :class:`ValueError` carrying the byte offset
     of the offending record — never :class:`IndexError` or
     :class:`struct.error` — so callers can treat any non-``ValueError``
-    as a parser bug rather than a bad file.
+    as a parser bug rather than a bad file.  The parse is one
+    ``gds.read`` span on ``tracer`` (no-op by default).
     """
-    offset = 0
+    if tracer is None:
+        tracer = get_tracer()
+    with tracer.span("gds.read") as sp:
+        library, records = _parse(data)
+        if tracer.enabled:
+            sp.set(bytes=len(data), records=records, boundaries=sum(
+                len(s.boundaries) for s in library.structs
+            ))
+    return library
+
+
+def _parse(data: bytes) -> tuple[GdsLibrary, int]:
+    """``(library, record count)``.  The frequent record types are
+    tested first and decoded in place, without copying their payload."""
+    unpack_from = struct.unpack_from
+    offset = records = 0
     library = GdsLibrary(name="")
     current: GdsStruct | None = None
-    element: dict | None = None
+    # The open element's kind (None: no element open) and its fields.
+    kind: int | None = None
+    layer = datatype = 0
+    points: list[tuple[int, int]] = []
+    name = text = ""
 
-    def short(record: int, payload: bytes, expected: int, name: str) -> bytes:
-        if len(payload) < expected:
+    def short(record: int, size: int, expected: int, name: str) -> None:
+        if size < expected:
             raise ValueError(
                 f"{name} record at offset {record} truncated: "
-                f"{len(payload)} payload bytes, need {expected}"
+                f"{size} payload bytes, need {expected}"
             )
-        return payload
 
     while offset < len(data):
-        record_offset = offset
+        record = offset
         if offset + 4 > len(data):
             raise ValueError(
                 f"truncated GDSII record header at offset {offset}"
             )
-        length, rtype, dtype = struct.unpack_from(">HBB", data, offset)
+        length, rtype, _ = unpack_from(">HBB", data, offset)
         if length < 4:
             raise ValueError(
                 f"invalid record length {length} at offset {offset}"
@@ -246,85 +305,74 @@ def read_gds(data: bytes) -> GdsLibrary:
                 f"record at offset {offset} overruns the stream "
                 f"({length} bytes declared, {len(data) - offset} left)"
             )
-        payload = data[offset + 4 : offset + length]
-        offset += length
+        body, offset = offset + 4, offset + length
+        records += 1
 
-        if rtype == LIBNAME:
-            library.name = payload.rstrip(b"\x00").decode("ascii")
+        if rtype == XY and kind is not None:
+            if (length - 4) % 8:
+                raise ValueError(
+                    f"XY record at offset {record} has "
+                    f"{length - 4} payload bytes (not a multiple of 8)"
+                )
+            values = unpack_from(f">{(length - 4) // 4}i", data, body)
+            points = list(zip(values[0::2], values[1::2]))
+        elif rtype == LAYER and kind is not None:
+            short(record, length - 4, 2, "LAYER")
+            layer = unpack_from(">h", data, body)[0]
+        elif rtype == DATATYPE and kind is not None:
+            short(record, length - 4, 2, "DATATYPE")
+            datatype = unpack_from(">h", data, body)[0]
+        elif rtype == ENDEL and kind is not None and current is not None:
+            if not points:
+                element = {BOUNDARY: "BOUNDARY", SREF: "SREF"}.get(
+                    kind, "TEXT"
+                )
+                raise ValueError(
+                    f"{element} element ending at offset {record} "
+                    "has no XY coordinates"
+                )
+            if kind == BOUNDARY:
+                current.boundaries.append(
+                    GdsBoundary(layer, datatype, points)
+                )
+            elif kind == SREF:
+                current.srefs.append(GdsSRef(name, points[0]))
+            else:
+                current.texts.append(GdsText(layer, text, points[0]))
+            kind = None
+        elif rtype in (BOUNDARY, SREF, TEXT):
+            kind, layer, datatype, points, name, text = (
+                rtype, 0, 0, [], "", ""
+            )
+        elif rtype == SNAME and kind is not None:
+            name = data[body:offset].rstrip(b"\x00").decode("ascii")
+        elif rtype == STRING and kind is not None:
+            text = data[body:offset].rstrip(b"\x00").decode("ascii")
+        elif rtype == STRNAME and current is not None:
+            current.name = data[body:offset].rstrip(b"\x00").decode("ascii")
+        elif rtype == LIBNAME:
+            library.name = data[body:offset].rstrip(b"\x00").decode("ascii")
         elif rtype == UNITS:
-            short(record_offset, payload, 16, "UNITS")
-            db_in_user = _parse_real8(payload[0:8])
-            db_in_m = _parse_real8(payload[8:16])
+            short(record, length - 4, 16, "UNITS")
+            db_in_user = _parse_real8(data[body : body + 8])
+            db_in_m = _parse_real8(data[body + 8 : body + 16])
             if (
                 abs(db_in_user - DB_UNIT_IN_UM) > 1e-9 * DB_UNIT_IN_UM
                 or abs(db_in_m - DB_UNIT_IN_M) > 1e-9 * DB_UNIT_IN_M
             ):
                 raise ValueError(
-                    f"unsupported UNITS at offset {record_offset}: "
+                    f"unsupported UNITS at offset {record}: "
                     f"db unit {db_in_user} user / {db_in_m} m "
                     f"(expected {DB_UNIT_IN_UM} / {DB_UNIT_IN_M})"
                 )
         elif rtype == BGNSTR:
             current = GdsStruct(name="")
-        elif rtype == STRNAME and current is not None:
-            current.name = payload.rstrip(b"\x00").decode("ascii")
         elif rtype == ENDSTR:
             # A bare ENDSTR (no preceding BGNSTR) closes nothing; skip it
             # rather than recording a phantom structure.
             if current is not None:
                 library.structs.append(current)
             current = None
-        elif rtype in (BOUNDARY, SREF, TEXT):
-            element = {"kind": rtype, "layer": 0, "datatype": 0,
-                       "points": [], "name": "", "text": ""}
-        elif rtype == LAYER and element is not None:
-            short(record_offset, payload, 2, "LAYER")
-            element["layer"] = struct.unpack_from(">h", payload)[0]
-        elif rtype == DATATYPE and element is not None:
-            short(record_offset, payload, 2, "DATATYPE")
-            element["datatype"] = struct.unpack_from(">h", payload)[0]
-        elif rtype == SNAME and element is not None:
-            element["name"] = payload.rstrip(b"\x00").decode("ascii")
-        elif rtype == STRING and element is not None:
-            element["text"] = payload.rstrip(b"\x00").decode("ascii")
-        elif rtype == XY and element is not None:
-            if len(payload) % 8:
-                raise ValueError(
-                    f"XY record at offset {record_offset} has "
-                    f"{len(payload)} payload bytes (not a multiple of 8)"
-                )
-            count = len(payload) // 8
-            element["points"] = [
-                struct.unpack_from(">ii", payload, i * 8) for i in range(count)
-            ]
-            element["xy_offset"] = record_offset
-        elif rtype == ENDEL and element is not None and current is not None:
-            kind = element["kind"]
-            if kind == BOUNDARY:
-                current.boundaries.append(
-                    GdsBoundary(element["layer"], element["datatype"],
-                                [tuple(p) for p in element["points"]])
-                )
-            elif kind == SREF:
-                if not element["points"]:
-                    raise ValueError(
-                        f"SREF element ending at offset {record_offset} "
-                        "has no XY coordinates"
-                    )
-                current.srefs.append(
-                    GdsSRef(element["name"], tuple(element["points"][0]))
-                )
-            elif kind == TEXT:
-                if not element["points"]:
-                    raise ValueError(
-                        f"TEXT element ending at offset {record_offset} "
-                        "has no XY coordinates"
-                    )
-                current.texts.append(
-                    GdsText(element["layer"], element["text"],
-                            tuple(element["points"][0]))
-                )
-            element = None
         elif rtype == ENDLIB:
             break
-    return library
+    return library, records

@@ -38,6 +38,7 @@ from repro.layout.chip import cell_master_struct
 from repro.layout.drc import _flatten_coords
 from repro.layout.lvs import LvsReport, check_lvs
 from repro.pdk import get_pdk
+from repro.pdk.layers import NET_DATATYPE
 from repro.pnr import implement
 from repro.synth import synthesize
 
@@ -135,7 +136,9 @@ def golden_record(data: bytes, pdk) -> dict:
     top = infer_top(library).name
     return {
         "gds": sha256(data),
-        "extraction": sha256(extraction_signature(extract_netlist(data, pdk))),
+        "extraction": sha256(
+            extraction_signature(extract_netlist(library, pdk))
+        ),
         "drc": sha256(drc_signature(check_drc(library, pdk.layers, top))),
         "drc_flat": flat_signature(library, top),
     }
@@ -245,6 +248,43 @@ class TestGdsHardening:
             offset += length
         with pytest.raises(ValueError, match="no XY"):
             read_gds(blob)
+
+    def test_boundary_without_xy_rejected(self, counter_stack, pdk):
+        mapped, _, data = counter_stack
+        # Excise the XY record of the first net-purpose boundary.
+        offset, in_net_boundary = 0, False
+        while True:
+            length, rtype = struct_mod.unpack_from(">HB", data, offset)
+            if rtype == 0x08:  # BOUNDARY
+                in_net_boundary = False
+            elif rtype == 0x0E:  # DATATYPE
+                (datatype,) = struct_mod.unpack_from(">h", data, offset + 4)
+                in_net_boundary = datatype == NET_DATATYPE
+            elif rtype == 0x10 and in_net_boundary:  # XY
+                blob = data[:offset] + data[offset + length:]
+                break
+            offset += length
+        # The ENDEL that closes the element moved up to the XY's offset.
+        with pytest.raises(
+            ValueError, match=f"BOUNDARY element ending at offset {offset} "
+            "has no XY"
+        ):
+            read_gds(blob)
+        report = run_lvs(blob, mapped, pdk)
+        assert not report.clean
+        assert any("unreadable GDSII stream" in m for m in report.mismatches)
+
+    def test_empty_ring_names_its_struct(self, counter_stack, pdk):
+        mapped, _, data = counter_stack
+        library = read_gds(data)
+        top = library.struct(mapped.name)
+        victim = next(b for b in top.boundaries if b.datatype == NET_DATATYPE)
+        victim.points = []
+        message = f"structure '{mapped.name}'.*empty ring"
+        with pytest.raises(ValueError, match=message):
+            check_drc(library, pdk.layers, mapped.name)
+        with pytest.raises(ValueError, match=message):
+            extract_netlist(library, pdk)
 
     def test_endstr_without_struct_skipped(self):
         # ENDSTR with no open structure parses to an empty library.
@@ -452,9 +492,18 @@ class TestFlowIntegration:
 
     def test_extract_spans_emitted(self, flow_result):
         names = {span.name for span in flow_result.trace}
-        assert {"extract.lvs", "extract.identify", "extract.flatten",
-                "extract.connect", "extract.compare",
+        assert {"extract.lvs", "gds.read", "extract.identify",
+                "extract.flatten", "extract.connect", "extract.compare",
                 "extract.lec"} <= names
+
+    def test_geometry_spans_carry_counts(self, flow_result):
+        spans = {span.name: span for span in flow_result.trace}
+        read = spans["gds.read"].attributes
+        assert read["bytes"] == len(flow_result.gds_bytes)
+        assert read["records"] > read["boundaries"] > 0
+        connect = spans["extract.connect"].attributes
+        assert connect["candidate_pairs"] >= connect["edges"] > 0
+        assert spans["drc.flatten"].attributes["rects"] > 0
 
 
 class TestCli:
