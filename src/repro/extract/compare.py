@@ -116,6 +116,16 @@ class _View:
         return "{" + ", ".join(sorted(refs)) + "}"
 
 
+def _lowest_members(classes: dict[int, object]) -> dict[object, int]:
+    """Signature -> its lowest member id, ordered by that id: the order
+    in which mismatch messages name classes (independent of how the
+    signatures are computed)."""
+    lowest: dict[object, int] = {}
+    for member in sorted(classes):
+        lowest.setdefault(classes[member], member)
+    return lowest
+
+
 def compare_netlists(
     extraction: ExtractionResult, mapped: MappedNetlist,
     max_messages: int = 20,
@@ -149,15 +159,13 @@ def compare_netlists(
     ext_net_counts = Counter(ext_view.net_sig.values())
     ref_net_counts = Counter(ref_view.net_sig.values())
     if ext_net_counts != ref_net_counts:
-        # Describe nets whose signature class sizes differ, each side.
+        # Describe nets whose signature class sizes differ, each side,
+        # in the order of each class's lowest net id.
         shown = 0
-        for sig in sorted(ref_net_counts, key=lambda s: s.hex()):
+        for sig, example in _lowest_members(ref_view.net_sig).items():
             deficit = ref_net_counts[sig] - ext_net_counts.get(sig, 0)
             if deficit <= 0:
                 continue
-            example = min(
-                net for net, s in ref_view.net_sig.items() if s == sig
-            )
             mismatches.append(
                 f"netlist net {example} {ref_view.describe_net(example)} "
                 f"has no matching layout net ({deficit}x)"
@@ -165,13 +173,10 @@ def compare_netlists(
             shown += 1
             if shown >= max_messages:
                 break
-        for sig in sorted(ext_net_counts, key=lambda s: s.hex()):
+        for sig, example in _lowest_members(ext_view.net_sig).items():
             surplus = ext_net_counts[sig] - ref_net_counts.get(sig, 0)
             if surplus <= 0:
                 continue
-            example = min(
-                net for net, s in ext_view.net_sig.items() if s == sig
-            )
             mismatches.append(
                 f"layout net {example} {ext_view.describe_net(example)} "
                 f"matches no netlist net ({surplus}x)"
@@ -193,11 +198,11 @@ def compare_netlists(
                 "(same cells, different wiring)"
             )
         shown = 0
-        for sig in sorted(ref_cell_counts, key=lambda s: s.hex()):
+        lowest = _lowest_members(dict(enumerate(ref_view.cell_sig)))
+        for sig, index in lowest.items():
             deficit = ref_cell_counts[sig] - ext_cell_counts.get(sig, 0)
             if deficit <= 0:
                 continue
-            index = ref_view.cell_sig.index(sig)
             inst = mapped.cells[index]
             mismatches.append(
                 f"netlist cell {inst.name} ({inst.cell.name}) has no "
@@ -215,7 +220,7 @@ def compare_netlists(
         ref_groups: dict[bytes, list[int]] = {}
         for index, sig in enumerate(ref_view.cell_sig):
             ref_groups.setdefault(sig, []).append(index)
-        for sig in sorted(ext_groups, key=lambda s: s.hex()):
+        for sig in ext_groups:
             for ext_index, ref_index in zip(
                 ext_groups[sig], ref_groups[sig]
             ):

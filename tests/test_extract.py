@@ -191,6 +191,42 @@ class TestGolden:
         assert golden_record(tampered(data, pdk), pdk) == GOLDEN["tampered"]
 
 
+def lvs_record(report) -> dict:
+    """What an :class:`LvsReport` concludes, in golden form."""
+    return {
+        "clean": report.clean,
+        "mismatches": report.mismatches,
+        "cells_matched": report.cells_matched,
+        "nets_checked": report.nets_checked,
+        "lec_equivalent": report.lec_equivalent,
+    }
+
+
+def lvs_golden_text(counter_stack, pdk) -> str:
+    """LVS verdicts for every trojan class at seeds 0-2 and for the
+    tampered counter, as the JSON text of ``lvs_golden.json``."""
+    mapped, _, data = counter_stack
+    records = {}
+    for kind in TROJAN_KINDS:
+        for seed in range(3):
+            mutant, _ = mutate_gds(data, seed=seed, kind=kind)
+            records[f"{kind}/{seed}"] = lvs_record(run_lvs(mutant, mapped, pdk))
+    records["tampered"] = lvs_record(
+        run_lvs(tampered(data, pdk), mapped, pdk)
+    )
+    return json.dumps(records, indent=1) + "\n"
+
+
+class TestLvsGolden:
+    """``compare_netlists`` messages, their order and caps, pinned while
+    refinement still hashed signatures with md5; classes are named in
+    the order of their lowest net id or cell index."""
+
+    def test_lvs_reports_match_golden(self, counter_stack, pdk):
+        golden = (Path(__file__).parent / "data" / "lvs_golden.json")
+        assert lvs_golden_text(counter_stack, pdk) == golden.read_text()
+
+
 class TestGdsHardening:
     """Malformed streams must raise ValueError — never IndexError or
     struct.error — with the offending record's byte offset."""
