@@ -6,12 +6,13 @@ the engines are visible.  Unlike the experiment benches these use real
 repeated measurement rounds.
 """
 
+import numpy as np
 from conftest import build_alu_design, build_counter, build_mac_pipe
 
 from repro.core import OPEN, FlowOptions, run_flow
 from repro.extract import extract_netlist, run_lvs
 from repro.ip import make_soc
-from repro.layout import build_chip_gds, write_gds
+from repro.layout import build_chip_gds, read_gds, write_gds
 from repro.pdk import get_pdk
 from repro.pnr import implement, make_floorplan, place
 from repro.sim import Simulator
@@ -94,11 +95,20 @@ def test_perf_gds_export(benchmark):
 
 def test_perf_extract_soc(benchmark):
     """GDS-in extraction of the soc: parse, identify, flatten, touch
-    graph; the recovered netlist must pass LVS and LEC."""
+    graph; the recovered netlist must pass LVS and LEC, and the boundary
+    arrays must round-trip through the stream unchanged."""
     pdk = get_pdk("edu130")
     mapped = synthesize(make_soc().module, pdk.library).mapped
     design = implement(mapped, pdk)
-    data = write_gds(build_chip_gds(design))
+    library = build_chip_gds(design)
+    data = write_gds(library)
+    parsed = read_gds(data)
+    assert [s.name for s in parsed.structs] == [
+        s.name for s in library.structs
+    ]
+    for original, copy in zip(library.structs, parsed.structs):
+        assert copy.boundaries.dtype == np.int64
+        assert np.array_equal(copy.boundaries, original.boundaries)
     extraction = benchmark(extract_netlist, data, pdk)
     assert extraction.clean, extraction.mismatches[:5]
     assert len(extraction.instances) == len(mapped.cells)

@@ -9,7 +9,9 @@ one JSON report and exits nonzero on any mismatch.
 
 With ``--mutate`` it also runs the trojan drill: for every trojan class
 (:data:`repro.extract.TROJAN_KINDS`) a seeded layout mutation is
-planted in the counter's GDS and the check *must* fail.  A layout
+planted in the counter's GDS and the check *must* fail.  So must the
+counter's GDS with one non-rectangular (L-shaped) boundary added
+(:func:`repro.extract.plant_polygon`).  A layout
 signoff that passes a trojaned mask is worse than none.
 
 Usage::
@@ -25,7 +27,12 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from repro.extract import TROJAN_KINDS, mutate_gds, run_lvs  # noqa: E402
+from repro.extract import (  # noqa: E402
+    TROJAN_KINDS,
+    mutate_gds,
+    plant_polygon,
+    run_lvs,
+)
 from repro.ip.catalog import catalogue, generate  # noqa: E402
 from repro.layout import build_chip_gds, write_gds  # noqa: E402
 from repro.pdk import get_pdk  # noqa: E402
@@ -103,7 +110,21 @@ def must_fail_trojaned(pdk):
             all_caught = False
         elif not caught:
             all_caught = False
-    return drills, all_caught
+    # Only rectangles are signed off: an L-shaped boundary whose
+    # bounding box is a clean square must make the stream unreadable.
+    report = run_lvs(plant_polygon(data), mapped, pdk)
+    caught = any("unreadable GDSII stream" in m for m in report.mismatches)
+    caught = caught and not report.clean
+    print(f"drill  {'polygon':12s} {'CAUGHT' if caught else 'MISSED'}: "
+          f"{report.mismatches[0] if report.mismatches else 'clean'}")
+    drills.append({
+        "kind": "non_rectangular_boundary",
+        "seed": None,
+        "caught": caught,
+        "description": "L-shaped met1 boundary with 2 nm arms",
+        "mismatches": len(report.mismatches),
+    })
+    return drills, all_caught and caught
 
 
 def main(argv):

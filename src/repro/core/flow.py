@@ -699,7 +699,7 @@ def run_flow(
             try:
                 with tracer.span("step.design_rule_check") as sp:
                     drill(FlowStep.DESIGN_RULE_CHECK)
-                    gds_library = build_chip_gds(physical)
+                    gds_library = build_chip_gds(physical, tracer=tracer)
                     drc = check_drc(
                         gds_library, pdk.layers, physical.mapped.name,
                         tracer=tracer,
@@ -722,8 +722,8 @@ def run_flow(
                 with tracer.span("step.gds_export") as sp:
                     drill(FlowStep.GDS_EXPORT)
                     if gds_library is None:
-                        gds_library = build_chip_gds(physical)
-                    gds_bytes = write_gds(gds_library)
+                        gds_library = build_chip_gds(physical, tracer=tracer)
+                    gds_bytes = write_gds(gds_library, tracer)
             except InjectedFault as exc:
                 record(FlowStep.GDS_EXPORT, sp, _ok=False)
                 fail(exc.stage, str(exc), kind="injected")

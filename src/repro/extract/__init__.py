@@ -17,7 +17,7 @@ from .identify import (
     reference_fingerprints,
 )
 from .netlist import ExtractedInstance, ExtractionResult, extract_netlist
-from .trojan import TROJAN_KINDS, mutate_gds
+from .trojan import TROJAN_KINDS, mutate_gds, plant_polygon
 
 __all__ = [
     "ExtractedInstance",
@@ -30,6 +30,7 @@ __all__ = [
     "infer_top",
     "master_fingerprint",
     "mutate_gds",
+    "plant_polygon",
     "reference_fingerprints",
     "run_lvs",
     "to_mapped",

@@ -4,10 +4,14 @@ The census check (:mod:`repro.layout.lvs`) counts cells; this module
 compares *wiring*.  Both netlists are reduced to anonymous views — cells
 as ``(variant, {pin: net})``, nets as the multiset of ``(port label)``
 and ``(cell signature, pin)`` attachments — and refined with a
-Weisfeiler–Lehman-style iteration: each round hashes every cell from its
-pins' net signatures and every net from its attached cell signatures
-(``hashlib`` digests, deliberately not :func:`hash`, so runs are
-reproducible across interpreter seeds).  Equal signature multisets mean
+Weisfeiler–Lehman-style iteration: each round colours every cell from
+its pins' net colours and every net from its previous colour and its
+attached cell colours.  A colour is a dense int from one palette shared
+by both views, a dict from each ``(previous colour, sorted
+attachments)`` payload to its colour, so equal colours mean equal
+payloads on either side and no hash (whose value could vary between
+interpreter runs) is involved.  Each view stops on its own once its
+number of classes stops growing.  Equal signature multisets mean
 the two netlists are attachment-by-attachment indistinguishable;
 signature groups then pair extracted instances with mapped instances,
 which carries the mapped side's register tags and reset values onto the
@@ -19,7 +23,6 @@ and the LEC proof is over the *extracted* connectivity either way.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 
 from ..layout.gds import GdsLibrary, read_gds
@@ -33,10 +36,6 @@ from .netlist import ExtractedInstance, ExtractionResult, extract_netlist
 
 #: Refinement stops when signature classes stabilize, or here at latest.
 MAX_ROUNDS = 64
-
-
-def _digest(payload: object) -> bytes:
-    return hashlib.md5(repr(payload).encode()).digest()
 
 
 def _port_map(mapped: MappedNetlist) -> dict[str, int]:
@@ -58,44 +57,63 @@ def _extracted_port_map(extraction: ExtractionResult) -> dict[str, int]:
 
 
 class _View:
-    """One side of the comparison in anonymous, refinable form."""
+    """One side of the comparison in anonymous, refinable form.
+
+    Colours are dense ints from ``palette``, a dict shared by both
+    views that maps each colouring payload to its colour, so an equal
+    colour means an equal payload on either side.
+    """
 
     def __init__(self, cells: list[tuple[str, dict[str, int]]],
-                 ports: dict[str, int]):
-        self.cells = cells
+                 ports: dict[str, int], palette: dict[tuple, int]):
+        self.palette = palette
         self.nets: set[int] = set(ports.values())
-        for _, pins in cells:
+        # Each cell as (variant, pin names in order, their nets).
+        self.shapes: list[tuple[str, tuple[str, ...], tuple[int, ...]]] = []
+        for kind, pins in cells:
+            names = tuple(sorted(pins))
+            self.shapes.append(
+                (kind, names, tuple(pins[pin] for pin in names))
+            )
             self.nets.update(pins.values())
+        # Each net's (cell index, pin) attachments.
+        self.incidence: dict[int, list[tuple[int, str]]] = {
+            net: [] for net in self.nets
+        }
+        for index, (_, names, nets) in enumerate(self.shapes):
+            for pin, net in zip(names, nets):
+                self.incidence[net].append((index, pin))
         port_refs: dict[int, list[str]] = {}
         for label, net in ports.items():
             port_refs.setdefault(net, []).append(label)
         self.port_refs = {
             net: tuple(sorted(labels)) for net, labels in port_refs.items()
         }
-        self.net_sig: dict[int, bytes] = {}
-        self.cell_sig: list[bytes] = []
+        self.net_sig: dict[int, int] = {}
+        self.cell_sig: list[int] = []
 
     def refine_round(self) -> None:
-        self.cell_sig = [
-            _digest((kind, tuple(sorted(
-                (pin, self.net_sig[net]) for pin, net in pins.items()
-            ))))
-            for kind, pins in self.cells
+        palette = self.palette
+        colour = palette.setdefault
+        net_sig = self.net_sig
+        self.cell_sig = cell_sig = [
+            colour((kind, names, tuple([net_sig[net] for net in nets])),
+                   len(palette))
+            for kind, names, nets in self.shapes
         ]
-        touch: dict[int, list[tuple[bytes, str]]] = {
-            net: [] for net in self.nets
-        }
-        for sig, (_, pins) in zip(self.cell_sig, self.cells):
-            for pin, net in pins.items():
-                touch[net].append((sig, pin))
         self.net_sig = {
-            net: _digest((self.net_sig[net], tuple(sorted(touch[net]))))
-            for net in self.nets
+            net: colour((net_sig[net], tuple(sorted(
+                [(cell_sig[index], pin) for index, pin in attached]
+            ))), len(palette))
+            for net, attached in self.incidence.items()
         }
 
     def refine(self) -> None:
+        palette = self.palette
         self.net_sig = {
-            net: _digest(("net", self.port_refs.get(net, ())))
+            net: palette.setdefault(
+                ("net", self.port_refs.get(net, ())), len(palette)
+            )
             for net in self.nets
         }
         classes = 0
@@ -109,10 +127,8 @@ class _View:
     def describe_net(self, net: int) -> str:
         """Human-readable attachment list for mismatch messages."""
         refs = list(self.port_refs.get(net, ()))
-        for index, (kind, pins) in enumerate(self.cells):
-            for pin, pin_net in pins.items():
-                if pin_net == net:
-                    refs.append(f"{kind}#{index}.{pin}")
+        for index, pin in self.incidence.get(net, ()):
+            refs.append(f"{self.shapes[index][0]}#{index}.{pin}")
         return "{" + ", ".join(sorted(refs)) + "}"
 
 
@@ -145,13 +161,14 @@ def compare_netlists(
     for name in sorted(set(ext_ports) - set(ref_ports)):
         mismatches.append(f"layout has unexpected port {name}")
 
+    palette: dict[tuple, int] = {}
     ext_view = _View(
         [(inst.cell.name, inst.pins) for inst in extraction.instances],
-        ext_ports,
+        ext_ports, palette,
     )
     ref_view = _View(
         [(inst.cell.name, dict(inst.pins)) for inst in mapped.cells],
-        ref_ports,
+        ref_ports, palette,
     )
     ext_view.refine()
     ref_view.refine()
@@ -214,10 +231,10 @@ def compare_netlists(
 
     pairing: list[tuple[ExtractedInstance, CellInst]] = []
     if not mismatches:
-        ext_groups: dict[bytes, list[int]] = {}
+        ext_groups: dict[int, list[int]] = {}
         for index, sig in enumerate(ext_view.cell_sig):
             ext_groups.setdefault(sig, []).append(index)
-        ref_groups: dict[bytes, list[int]] = {}
+        ref_groups: dict[int, list[int]] = {}
         for index, sig in enumerate(ref_view.cell_sig):
             ref_groups.setdefault(sig, []).append(index)
         for sig in ext_groups:

@@ -15,6 +15,8 @@ scrambled.
 
 from __future__ import annotations
 
+import weakref
+
 from ..layout.gds import GdsLibrary, GdsStruct
 from ..pdk.cells import StandardCell
 from ..pdk.pdks import Pdk
@@ -27,27 +29,17 @@ def master_fingerprint(
 ) -> Fingerprint:
     """Canonical geometry signature of a structure.
 
-    Boundary bboxes and text labels relative to the min corner of all
-    boundary points; texts on ``exclude_text_layers`` (the annotation
+    Boundary rectangles and text labels relative to the min corner of
+    all boundaries; texts on ``exclude_text_layers`` (the annotation
     label layer, which carries the — renamable — cell name) are ignored.
     """
-    points = [p for b in struct.boundaries for p in b.points]
-    if points:
-        min_x = min(p[0] for p in points)
-        min_y = min(p[1] for p in points)
+    rows = struct.boundaries
+    if len(rows):
+        min_x, min_y = rows[:, 2:4].min(axis=0).tolist()
+        rows = rows - (0, 0, min_x, min_y, min_x, min_y)
     else:
         min_x = min_y = 0
-    rects = sorted(
-        (
-            b.layer,
-            b.datatype,
-            min(p[0] for p in b.points) - min_x,
-            min(p[1] for p in b.points) - min_y,
-            max(p[0] for p in b.points) - min_x,
-            max(p[1] for p in b.points) - min_y,
-        )
-        for b in struct.boundaries
-    )
+    rects = sorted(map(tuple, rows.tolist()))
     texts = sorted(
         (t.layer, t.text, t.position[0] - min_x, t.position[1] - min_y)
         for t in struct.texts
@@ -62,14 +54,28 @@ def master_fingerprint(
     return (tuple(rects), tuple(texts), tuple(srefs))
 
 
+#: ``id(pdk) -> (weak reference to the pdk, its reference table)``.
+_REFERENCES: dict[int, tuple[weakref.ref, dict]] = {}
+
+
 def reference_fingerprints(pdk: Pdk) -> dict[Fingerprint, StandardCell]:
     """Fingerprint → library cell for every cell in the PDK.
 
-    Raises :class:`RuntimeError` on a collision: the identity stripes in
-    :func:`~repro.layout.chip.cell_master_struct` are meant to make all
-    masters geometrically distinct, and a silent collision would make
-    identification ambiguous.
+    Built once per :class:`Pdk` object (and dropped with it); each call
+    returns a fresh dict.  Raises :class:`RuntimeError` on a collision:
+    the identity stripes in :func:`~repro.layout.chip.cell_master_struct`
+    are meant to make all masters geometrically distinct, and a silent
+    collision would make identification ambiguous.
     """
+    key = id(pdk)
+    cached = _REFERENCES.get(key)
+    if cached is None or cached[0]() is not pdk:
+        ref = weakref.ref(pdk, lambda _: _REFERENCES.pop(key, None))
+        cached = _REFERENCES[key] = (ref, _build_references(pdk))
+    return dict(cached[1])
+
+
+def _build_references(pdk: Pdk) -> dict[Fingerprint, StandardCell]:
     from ..layout.chip import cell_master_struct
 
     label = pdk.layers.by_name("label").gds_layer

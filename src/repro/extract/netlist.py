@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..layout.gds import GdsLibrary, boundary_bboxes, read_gds
+from ..layout.gds import GdsLibrary, read_gds
 from ..obs.trace import get_tracer
 from ..pdk.cells import StandardCell
 from ..pdk.layers import NET_DATATYPE
@@ -98,11 +98,10 @@ def _master_pads(
 ) -> tuple[np.ndarray, list[str]]:
     """``(pad rects, pin names)`` within one master, via its met1 pin
     labels: one ``(n, 4)`` array and the pin of each row."""
-    pads = boundary_bboxes(
-        [b for b in struct.boundaries
-         if b.layer == li_layer and b.datatype == NET_DATATYPE],
-        struct.name,
-    ).tolist()
+    rows = struct.boundaries
+    pads = rows[
+        (rows[:, 0] == li_layer) & (rows[:, 1] == NET_DATATYPE), 2:
+    ].tolist()
     labels = [
         (t.text, t.position) for t in struct.texts if t.layer == met1_layer
     ]
@@ -204,17 +203,14 @@ def extract_netlist(
             dx, dy = sref.position
             pad_parts.append(pads + np.array((dx, dy, dx, dy)))
             owners.extend((index, pin) for pin in pins)
-        net_shapes = [
-            b for b in top.boundaries
-            if b.datatype == NET_DATATYPE and b.layer in gds_layer.values()
+        rows = top.boundaries
+        net_shapes = rows[
+            (rows[:, 1] == NET_DATATYPE)
+            & np.isin(rows[:, 0], list(gds_layer.values()))
         ]
-        rects = np.concatenate(
-            pad_parts + [boundary_bboxes(net_shapes, top.name)]
-        )
+        rects = np.concatenate(pad_parts + [net_shapes[:, 2:]])
         shape_layer = np.concatenate((
-            np.full(len(owners), gds_layer["li"]),
-            np.fromiter((b.layer for b in net_shapes), dtype=np.int64,
-                        count=len(net_shapes)),
+            np.full(len(owners), gds_layer["li"]), net_shapes[:, 0],
         ))
         # Per layer: (shape ids, rects).
         by_layer: dict[str, tuple[np.ndarray, np.ndarray]] = {}

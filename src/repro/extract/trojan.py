@@ -30,8 +30,26 @@ and callers skip or pick another seed.
 from __future__ import annotations
 
 import random
+import struct
 
-from ..layout.gds import GdsSRef, read_gds, write_gds
+import numpy as np
+
+from ..layout.gds import (
+    BOUNDARY,
+    DATATYPE,
+    DT_INT16,
+    DT_INT32,
+    DT_NONE,
+    ENDEL,
+    ENDLIB,
+    ENDSTR,
+    LAYER,
+    XY,
+    GdsSRef,
+    _record,
+    read_gds,
+    write_gds,
+)
 from ..pdk.layers import NET_DATATYPE
 from .identify import infer_top
 
@@ -47,10 +65,10 @@ _VIA1 = 30
 
 def _net_rects(top, layer: int) -> list[int]:
     """Indexes into ``top.boundaries`` of net-purpose rects on a layer."""
-    return [
-        index for index, b in enumerate(top.boundaries)
-        if b.layer == layer and b.datatype == NET_DATATYPE
-    ]
+    rows = top.boundaries
+    return np.flatnonzero(
+        (rows[:, 0] == layer) & (rows[:, 1] == NET_DATATYPE)
+    ).tolist()
 
 
 def mutate_gds(
@@ -86,21 +104,19 @@ def mutate_gds(
         candidates = _net_rects(top, _MET1)
         if not candidates:
             raise ValueError("no net-purpose met1 wires to reroute")
-        boundary = top.boundaries[rng.choice(candidates)]
+        row = top.boundaries[rng.choice(candidates)]
         # Two lattice steps: off the original line, possibly onto a
         # neighbouring net's — an open either way, sometimes a short.
-        boundary.points = [(x, y + 8) for x, y in boundary.points]
-        x0 = min(p[0] for p in boundary.points)
-        y0 = min(p[1] for p in boundary.points)
+        row[[3, 5]] += 8
+        x0, y0 = row[2:4].tolist()
         description = f"rerouted met1 wire near ({x0}, {y0}) nm by +8 nm"
     elif kind == "delete_via":
         candidates = _net_rects(top, _VIA1)
         if not candidates:
             raise ValueError("no via1 cuts to delete")
         index = rng.choice(candidates)
-        boundary = top.boundaries.pop(index)
-        x0 = min(p[0] for p in boundary.points)
-        y0 = min(p[1] for p in boundary.points)
+        x0, y0 = top.boundaries[index, 2:4].tolist()
+        top.boundaries = np.delete(top.boundaries, index, axis=0)
         description = f"deleted via1 cut at ({x0}, {y0}) nm"
     else:  # swap_cells
         by_master: dict[str, list[int]] = {}
@@ -118,3 +134,27 @@ def mutate_gds(
             f"(cell census unchanged)"
         )
     return write_gds(library), f"{kind}: {description}"
+
+
+def plant_polygon(data: bytes) -> bytes:
+    """A copy of the stream with one L-shaped ``met1`` polygon (2 nm
+    arms, 2 um long) added to its last structure: the must-fail drill
+    for the reader's rectangles-only rule.  Its bounding box is a clean
+    2x2 um square, so a checker that took boundaries as their bounding
+    boxes would sign it off."""
+    tail = _record(ENDSTR, DT_NONE) + _record(ENDLIB, DT_NONE)
+    if not data.endswith(tail):
+        raise ValueError("stream does not end with ENDSTR, ENDLIB")
+    ring = ((0, 0), (2000, 0), (2000, 2), (2, 2), (2, 2000), (0, 2000),
+            (0, 0))
+    element = (
+        _record(BOUNDARY, DT_NONE)
+        + _record(LAYER, DT_INT16, struct.pack(">h", _MET1))
+        + _record(DATATYPE, DT_INT16, struct.pack(">h", 0))
+        + _record(XY, DT_INT32, struct.pack(
+            f">{2 * len(ring)}i",
+            *(v + 1000 for point in ring for v in point),
+        ))
+        + _record(ENDEL, DT_NONE)
+    )
+    return data[:-len(tail)] + element + tail

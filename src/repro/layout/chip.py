@@ -25,12 +25,20 @@ variants with identical footprints even when struct names are stripped.
 
 from __future__ import annotations
 
+from ..obs.trace import get_tracer
 from ..pdk.cells import StandardCell
 from ..pdk.layers import NET_DATATYPE
 from ..pdk.node import ProcessNode
 from ..pdk.pdks import Pdk
 from ..pnr.physical import PhysicalDesign
-from .gds import GdsBoundary, GdsLibrary, GdsSRef, GdsStruct, GdsText, to_db
+from .gds import GdsLibrary, GdsSRef, GdsStruct, GdsText, rect_array, to_db
+
+
+def _um_rect(
+    layer: int, datatype: int, x0: float, y0: float, x1: float, y1: float
+) -> tuple[int, int, int, int, int, int]:
+    """A boundary row from micrometre corners (``x0 <= x1``, ``y0 <= y1``)."""
+    return layer, datatype, to_db(x0), to_db(y0), to_db(x1), to_db(y1)
 
 
 def master_footprint(cell: StandardCell, node: ProcessNode) -> tuple[float, float]:
@@ -83,45 +91,58 @@ def cell_master_struct(cell: StandardCell, pdk: Pdk) -> GdsStruct:
     li = pdk.layers.by_name("li")
     met1 = pdk.layers.by_name("met1")
     f_um = pdk.node.feature_nm / 1000.0
-    struct.add_rect_um(active.gds_layer, active.gds_datatype,
-                       0.0, 0.0, width, height)
+    rects = [_um_rect(active.gds_layer, active.gds_datatype,
+                      0.0, 0.0, width, height)]
     # A representative poly gate stripe, inset one feature from each edge.
     if width > 4 * f_um:
         x = width / 2.0
-        struct.add_rect_um(poly.gds_layer, poly.gds_datatype,
-                           x - f_um / 2.0, f_um, x + f_um / 2.0,
-                           height - f_um)
+        rects.append(_um_rect(poly.gds_layer, poly.gds_datatype,
+                              x - f_um / 2.0, f_um, x + f_um / 2.0,
+                              height - f_um))
     # Identity stripe: a second poly stripe at a per-variant x position,
     # so cell variants sharing a footprint (NAND2/NOR2/AND2...) remain
     # geometrically distinguishable after struct names are stripped.
     names = sorted(pdk.library.cells)
     idx = names.index(cell.name)
     x_id = width * (0.1 + 0.8 * (idx + 1) / (len(names) + 1))
-    struct.add_rect_um(poly.gds_layer, poly.gds_datatype,
-                       x_id - f_um / 4.0, f_um, x_id + f_um / 4.0,
-                       height - f_um)
+    rects.append(_um_rect(poly.gds_layer, poly.gds_datatype,
+                          x_id - f_um / 4.0, f_um, x_id + f_um / 4.0,
+                          height - f_um))
     # Pin geometry: one li pad (net purpose) + met1-layer name label per
     # pin.  The net fabric lands li stubs on these pads at the top level.
     half = PIN_PAD_HALF_NM
     for pin, (px, py) in master_pin_offsets(cell, pdk.node).items():
-        struct.boundaries.append(
-            GdsBoundary(li.gds_layer, NET_DATATYPE, [
-                (px - half, py - half), (px + half, py - half),
-                (px + half, py + half), (px - half, py + half),
-                (px - half, py - half),
-            ])
-        )
+        rects.append((li.gds_layer, NET_DATATYPE,
+                      px - half, py - half, px + half, py + half))
         struct.texts.append(GdsText(met1.gds_layer, pin, (px, py)))
     label = pdk.layers.by_name("label")
     struct.texts.append(
         GdsText(label.gds_layer, cell.name,
                 (to_db(width / 2), to_db(height / 2)))
     )
+    struct.boundaries = rect_array(rects)
     return struct
 
 
-def build_chip_gds(design: PhysicalDesign, top_name: str | None = None) -> GdsLibrary:
-    """Assemble the full-chip GDSII library for ``design``."""
+def build_chip_gds(
+    design: PhysicalDesign, top_name: str | None = None, tracer=None
+) -> GdsLibrary:
+    """Assemble the full-chip GDSII library for ``design``: one
+    ``layout.build`` span on ``tracer`` (no-op by default) carrying the
+    drawing and net rectangle counts and the placements."""
+    if tracer is None:
+        tracer = get_tracer()
+    with tracer.span("layout.build") as sp:
+        library = _build(design, top_name)
+        if tracer.enabled:
+            top = library.structs[-1]
+            net = int((top.boundaries[:, 1] == NET_DATATYPE).sum())
+            sp.set(drawing_rects=len(top.boundaries) - net, net_rects=net,
+                   srefs=len(top.srefs), masters=len(library.structs) - 1)
+    return library
+
+
+def _build(design: PhysicalDesign, top_name: str | None) -> GdsLibrary:
     pdk = design.pdk
     library = GdsLibrary(name=f"{design.mapped.name}_{pdk.name}")
     top = GdsStruct(name=top_name or design.mapped.name)
@@ -150,6 +171,7 @@ def build_chip_gds(design: PhysicalDesign, top_name: str | None = None) -> GdsLi
     pitch = design.routing.grid_pitch_um
     tracks = drc_clean_capacity(pdk.node, pdk.layers)
     cell_tracks: dict[tuple[int, int, int], dict[int, int]] = {}
+    rects: list[tuple[int, int, int, int, int, int]] = []
 
     def offset_for(cell: tuple[int, int, int], net: int) -> float:
         nets_here = cell_tracks.setdefault(cell, {})
@@ -168,10 +190,10 @@ def build_chip_gds(design: PhysicalDesign, top_name: str | None = None) -> GdsLi
                 if (col + 1, row, 0) in cells:
                     yc = y + offset_for(cell, net)
                     half = met1.min_width_um / 2.0
-                    top.add_rect_um(
+                    rects.append(_um_rect(
                         met1.gds_layer, met1.gds_datatype,
                         x, yc - half, x + pitch, yc + half,
-                    )
+                    ))
                 if (col, row, 1) in cells:
                     off_h = offset_for(cell, net)
                     off_v = offset_for((col, row, 1), net)
@@ -179,24 +201,24 @@ def build_chip_gds(design: PhysicalDesign, top_name: str | None = None) -> GdsLi
                     # and an exact number of database units, so rounding
                     # can never shave the rect below minimum width.
                     half = met1.min_width_um / 2.0
-                    top.add_rect_um(
+                    rects.append(_um_rect(
                         via1.gds_layer, via1.gds_datatype,
                         x + off_v - half, y + off_h - half,
                         x + off_v + half, y + off_h + half,
-                    )
+                    ))
             else:
                 if (col, row + 1, 1) in cells:
                     xc = x + offset_for(cell, net)
                     half = met2.min_width_um / 2.0
-                    top.add_rect_um(
+                    rects.append(_um_rect(
                         met2.gds_layer, met2.gds_datatype,
                         xc - half, y, xc + half, y + pitch,
-                    )
+                    ))
 
     # The electrically exact net-purpose fabric extraction reads back.
     from .fabric import draw_net_fabric
 
-    draw_net_fabric(top, design)
+    draw_net_fabric(rects, design)
 
     # Pin labels and the die outline.
     label = pdk.layers.by_name("label")
@@ -205,11 +227,12 @@ def build_chip_gds(design: PhysicalDesign, top_name: str | None = None) -> GdsLi
             GdsText(label.gds_layer, pin.name, (to_db(pin.x), to_db(pin.y)))
         )
     outline = pdk.layers.outline
-    top.add_rect_um(
+    rects.append(_um_rect(
         outline.gds_layer, outline.gds_datatype,
         0.0, 0.0,
         design.floorplan.die_width, design.floorplan.die_height,
-    )
+    ))
 
+    top.boundaries = rect_array(rects)
     library.add(top)
     return library

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..obs.trace import get_tracer
 from ..pdk.layers import LayerStack
-from .gds import DB_UNIT_IN_UM, GdsLibrary, boundary_bboxes, from_db
+from .gds import DB_UNIT_IN_UM, GdsLibrary, GdsStruct, from_db
 from .geometry import Rect
 
 
@@ -53,83 +53,103 @@ class DrcReport:
         return f"DRC {status} ({self.checked_rects} rects checked)"
 
 
-def flatten_rects(
-    library: GdsLibrary, top_name: str
-) -> dict[int, list[Rect]]:
-    """Rectangles per GDS layer with SREFs resolved (one level deep is
-    enough for our two-level cell/top hierarchy, applied recursively)."""
-    by_name = {s.name: s for s in library.structs}
-    rects: dict[int, list[Rect]] = defaultdict(list)
+def _placements(
+    by_name: dict[str, GdsStruct], top_name: str
+) -> tuple[list[str], list[float], list[float]]:
+    """Every placement of a structure below ``top_name`` (itself
+    included) in depth-first emission order: a structure's own shapes
+    come before those of the structures it places.  Returns the
+    structure names and the x and y offsets in micrometres."""
+    names: list[str] = []
+    xs: list[float] = []
+    ys: list[float] = []
 
-    def emit(struct_name: str, dx: float, dy: float, depth: int) -> None:
+    def visit(name: str, dx: float, dy: float, depth: int) -> None:
         if depth > 8:
             raise ValueError("SREF nesting too deep (cycle?)")
-        struct = by_name[struct_name]
-        for boundary in struct.boundaries:
-            xs = [from_db(p[0]) for p in boundary.points]
-            ys = [from_db(p[1]) for p in boundary.points]
-            rects[boundary.layer].append(
-                Rect(min(xs) + dx, min(ys) + dy, max(xs) + dx, max(ys) + dy)
-            )
+        struct = by_name[name]
+        names.append(name)
+        xs.append(dx)
+        ys.append(dy)
         for sref in struct.srefs:
-            emit(
+            visit(
                 sref.struct_name,
                 dx + from_db(sref.position[0]),
                 dy + from_db(sref.position[1]),
                 depth + 1,
             )
 
-    emit(top_name, 0.0, 0.0, 0)
-    return dict(rects)
+    visit(top_name, 0.0, 0.0, 0)
+    return names, xs, ys
+
+
+def _flatten(
+    library: GdsLibrary, top_name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(layer/datatype rows (n, 2), coordinates (n, 4) in um)`` of
+    every boundary with SREFs resolved, in depth-first emission order.
+
+    All placements are translated in one gather over the concatenated
+    boundary rows of the structures they place.  Coordinates are scaled
+    to micrometres and then offset, exactly as ``from_db(x) + dx``.
+    """
+    by_name = {s.name: s for s in library.structs}
+    names, xs, ys = _placements(by_name, top_name)
+    placed = list(dict.fromkeys(names))
+    slot = {name: index for index, name in enumerate(placed)}
+    rows = np.concatenate([by_name[name].boundaries for name in placed])
+    sizes = np.array([len(by_name[name].boundaries) for name in placed])
+    starts = np.cumsum(sizes) - sizes
+    which = np.array([slot[name] for name in names], dtype=np.int64)
+    counts = sizes[which]
+    # Row index of each emitted shape: its placement's struct start plus
+    # its position within the placement.
+    first = np.cumsum(counts) - counts
+    gather = (
+        np.arange(counts.sum())
+        + np.repeat(starts[which] - first, counts)
+    )
+    flat = rows[gather]
+    offsets = np.repeat(np.column_stack((xs, ys)), counts, axis=0)
+    coords = flat[:, 2:] * DB_UNIT_IN_UM + np.hstack((offsets, offsets))
+    return flat[:, :2], coords
+
+
+def _by_key(keys: np.ndarray) -> dict[int, np.ndarray]:
+    """Row indexes per distinct key, each in row order."""
+    unique, inverse = np.unique(keys, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse, minlength=len(unique)))[:-1]
+    return dict(zip(unique.tolist(), np.split(order, bounds)))
+
+
+def flatten_rects(
+    library: GdsLibrary, top_name: str
+) -> dict[int, list[Rect]]:
+    """Rectangles per GDS layer with SREFs resolved (any purpose),
+    in depth-first emission order."""
+    layers, coords = _flatten(library, top_name)
+    return {
+        layer: [Rect(*row) for row in coords[index].tolist()]
+        for layer, index in _by_key(layers[:, 0]).items()
+    }
 
 
 def _flatten_coords(
     library: GdsLibrary, top_name: str
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Per-(layer, datatype) ``(n, 4)`` coordinate arrays with SREFs
-    resolved.
+    """Per-(layer, datatype) ``(n, 4)`` coordinate arrays in um with
+    SREFs resolved, in depth-first emission order.
 
-    Same DFS emission order as :func:`flatten_rects`, but each struct's
-    local boundaries are converted to one array once and placements
-    merely translate it — the checker never materializes per-rect
-    objects for the (overwhelmingly clean) common case.  Keying by
-    datatype keeps mask purposes apart: DRC checks a layer's drawing
-    purpose without mixing in net-purpose fabric shapes.  Bounding boxes
-    are taken in database units and scaled afterwards, which equals
-    scaling every point first because :func:`from_db` is monotonic.
+    Keying by datatype keeps mask purposes apart: DRC checks a layer's
+    drawing purpose without mixing in net-purpose fabric shapes.
     """
-    by_name = {s.name: s for s in library.structs}
-    local: dict[str, dict[tuple[int, int], np.ndarray]] = {}
-    parts: dict[tuple[int, int], list[np.ndarray]] = defaultdict(list)
-
-    def struct_local(name: str) -> dict[tuple[int, int], np.ndarray]:
-        cached = local.get(name)
-        if cached is None:
-            boundaries = by_name[name].boundaries
-            boxes = boundary_bboxes(boundaries, name) * DB_UNIT_IN_UM
-            rows: dict[tuple[int, int], list[int]] = defaultdict(list)
-            for index, boundary in enumerate(boundaries):
-                rows[(boundary.layer, boundary.datatype)].append(index)
-            cached = local[name] = {
-                key: boxes[index] for key, index in rows.items()
-            }
-        return cached
-
-    def emit(struct_name: str, dx: float, dy: float, depth: int) -> None:
-        if depth > 8:
-            raise ValueError("SREF nesting too deep (cycle?)")
-        for key, rows in struct_local(struct_name).items():
-            parts[key].append(rows + np.array((dx, dy, dx, dy)))
-        for sref in by_name[struct_name].srefs:
-            emit(
-                sref.struct_name,
-                dx + from_db(sref.position[0]),
-                dy + from_db(sref.position[1]),
-                depth + 1,
-            )
-
-    emit(top_name, 0.0, 0.0, 0)
-    return {key: np.concatenate(p) for key, p in parts.items()}
+    layers, coords = _flatten(library, top_name)
+    keys = (layers[:, 0] << 16) | (layers[:, 1] & 0xFFFF)
+    return {
+        (int(layers[index[0], 0]), int(layers[index[0], 1])): coords[index]
+        for index in _by_key(keys).values()
+    }
 
 
 def check_drc(

@@ -31,7 +31,7 @@ from collections import defaultdict
 
 from ..pdk.layers import NET_DATATYPE
 from ..pnr.physical import PhysicalDesign
-from .gds import GdsBoundary, GdsStruct, to_db
+from .gds import to_db
 
 #: Lattice quantum in nm.  Lines are multiples of Q; with HALF-width
 #: shapes, distinct lines keep a >= Q - 2*HALF = 2 nm clearance.
@@ -49,29 +49,47 @@ class FabricError(RuntimeError):
 class _Band:
     """Exclusive lattice-line allocator for one grid row or column."""
 
-    __slots__ = ("lo", "hi", "used")
+    __slots__ = ("lo", "hi", "used", "_skip")
 
     def __init__(self, lo: int, hi: int):
         self.lo = -(-lo // Q) * Q
         self.hi = (hi // Q) * Q
         self.used: set[int] = set()
+        # Per direction (+Q / -Q): used line -> a line further on that
+        # way with only used lines in between (path-compressed).
+        self._skip: dict[int, dict[int, int]] = {Q: {}, -Q: {}}
+
+    def _free(self, line: int, step: int) -> int:
+        """The first unused line from ``line`` on in direction ``step``
+        (possibly outside the band)."""
+        skip = self._skip[step]
+        path = []
+        while line in self.used:
+            path.append(line)
+            line = skip.get(line, line + step)
+        for passed in path:
+            skip[passed] = line
+        return line
 
     def alloc(self, preferred: int) -> int:
+        """The free line nearest ``preferred`` (snapped into the band);
+        on a tie the one above."""
         if self.lo > self.hi:
             raise FabricError("lattice band is empty")
         want = min(max(preferred, self.lo), self.hi)
         want = (want + Q // 2) // Q * Q
         want = min(max(want, self.lo), self.hi)
-        span = (self.hi - self.lo) // Q + 1
-        for k in range(span + 1):
-            for cand in ((want,) if k == 0 else (want + k * Q, want - k * Q)):
-                if self.lo <= cand <= self.hi and cand not in self.used:
-                    self.used.add(cand)
-                    return cand
-        raise FabricError(
-            f"lattice band [{self.lo}, {self.hi}] exhausted "
-            f"({len(self.used)} lines in use)"
-        )
+        up = self._free(want, Q)
+        down = self._free(want, -Q)
+        if up > self.hi and down < self.lo:
+            raise FabricError(
+                f"lattice band [{self.lo}, {self.hi}] exhausted "
+                f"({len(self.used)} lines in use)"
+            )
+        if up > self.hi or (down >= self.lo and want - down < up - want):
+            up = down
+        self.used.add(up)
+        return up
 
 
 class _Run:
@@ -92,22 +110,29 @@ class _Run:
 
 
 class _LiIndex:
-    """Bucketed collision index for li shapes (pads and stubs)."""
+    """Collision index for li shapes (pads and stubs), bucketed on a
+    square grid."""
 
     BUCKET = 1024  # nm
 
     def __init__(self):
-        self.buckets: dict[int, list[tuple[int, int, int, int, int]]] = (
-            defaultdict(list)
-        )
+        self.buckets: dict[
+            tuple[int, int], list[tuple[int, int, int, int, int]]
+        ] = defaultdict(list)
+
+    def _cells(self, x0: int, y0: int, x1: int, y1: int):
+        size = self.BUCKET
+        for bx in range(x0 // size, x1 // size + 1):
+            for by in range(y0 // size, y1 // size + 1):
+                yield bx, by
 
     def add(self, x0: int, y0: int, x1: int, y1: int, net: int) -> None:
-        for b in range(x0 // self.BUCKET, x1 // self.BUCKET + 1):
-            self.buckets[b].append((x0, y0, x1, y1, net))
+        for cell in self._cells(x0, y0, x1, y1):
+            self.buckets[cell].append((x0, y0, x1, y1, net))
 
     def conflict(self, x0: int, y0: int, x1: int, y1: int, net: int) -> bool:
-        for b in range(x0 // self.BUCKET, x1 // self.BUCKET + 1):
-            for ax0, ay0, ax1, ay1, other in self.buckets.get(b, ()):
+        for cell in self._cells(x0, y0, x1, y1):
+            for ax0, ay0, ax1, ay1, other in self.buckets.get(cell, ()):
                 if other != net and (
                     ax0 <= x1 and x0 <= ax1 and ay0 <= y1 and y0 <= ay1
                 ):
@@ -126,8 +151,11 @@ def _ranges(values: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def draw_net_fabric(top: GdsStruct, design: PhysicalDesign) -> None:
-    """Draw the net-purpose fabric for every net into ``top``.
+def draw_net_fabric(
+    rects: list[tuple[int, int, int, int, int, int]], design: PhysicalDesign
+) -> None:
+    """Append the net-purpose fabric of every net to ``rects`` as
+    ``(layer, datatype, x0, y0, x1, y1)`` boundary rows.
 
     Consumes the placement, floorplan and routing of ``design``; master
     pin pads are part of the cell structures (drawn by
@@ -155,11 +183,10 @@ def draw_net_fabric(top: GdsStruct, design: PhysicalDesign) -> None:
         row = min(rows - 1, max(0, int(round(y_um / pitch_um))))
         return col, row
 
+    append = rects.append
+
     def rect(layer: int, x0: int, y0: int, x1: int, y1: int) -> None:
-        top.boundaries.append(
-            GdsBoundary(layer, NET_DATATYPE,
-                        [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)])
-        )
+        append((layer, NET_DATATYPE, x0, y0, x1, y1))
 
     def cut(x: int, y: int) -> None:
         rect(via1, x - HALF, y - HALF, x + HALF, y + HALF)

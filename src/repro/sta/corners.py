@@ -82,8 +82,12 @@ class MultiCornerReport:
             f"{name}: WNS {report.wns_ps:.1f} ps"
             for name, report in sorted(self.reports.items())
         )
+        hold = self.hold_report.worst_hold_slack_ps
         status = "MET" if self.met else "VIOLATED"
-        return f"{status} across corners ({rows})"
+        return (
+            f"{status} across corners ({rows}; "
+            f"hold slack {hold:.1f} ps at {self.hold_corner})"
+        )
 
 
 class CornerScaledAnalyzer(TimingAnalyzer):

@@ -71,6 +71,22 @@ class TestCorners:
         assert not report.met
         assert "VIOLATED" in report.summary()
 
+    def test_summary_names_hold_slack(self, datapath_mapped):
+        node = get_pdk("edu130").node
+        report = multi_corner_analysis(datapath_mapped, node, 50_000.0)
+        assert report.met
+        hold = report.hold_report
+        assert f"hold slack {hold.worst_hold_slack_ps:.1f} ps at ff" in (
+            report.summary()
+        )
+        # A hold-only failure: every setup WNS positive, the verdict
+        # must show why it is VIOLATED.
+        hold.worst_hold_slack_ps = -9.5
+        assert all(r.wns_ps > 0 for r in report.reports.values())
+        summary = report.summary()
+        assert summary.startswith("VIOLATED")
+        assert "hold slack -9.5 ps at ff" in summary
+
     def test_derated_node_values(self):
         node = get_pdk("edu130").node
         slow = derated_node(node, SS)

@@ -29,6 +29,7 @@ from repro.extract import (
     infer_top,
     master_fingerprint,
     mutate_gds,
+    plant_polygon,
     reference_fingerprints,
     run_lvs,
 )
@@ -310,17 +311,32 @@ class TestGdsHardening:
         assert not report.clean
         assert any("unreadable GDSII stream" in m for m in report.mismatches)
 
-    def test_empty_ring_names_its_struct(self, counter_stack, pdk):
+    def test_unordered_corners_name_their_struct(self, counter_stack):
         mapped, _, data = counter_stack
         library = read_gds(data)
         top = library.struct(mapped.name)
-        victim = next(b for b in top.boundaries if b.datatype == NET_DATATYPE)
-        victim.points = []
-        message = f"structure '{mapped.name}'.*empty ring"
-        with pytest.raises(ValueError, match=message):
-            check_drc(library, pdk.layers, mapped.name)
-        with pytest.raises(ValueError, match=message):
-            extract_netlist(library, pdk)
+        victim = np.flatnonzero(top.boundaries[:, 1] == NET_DATATYPE)[0]
+        top.boundaries[victim, [2, 4]] = top.boundaries[victim, [4, 2]] + (
+            1, 0
+        )
+        with pytest.raises(
+            ValueError, match=f"structure '{mapped.name}'.*x0 <= x1"
+        ):
+            write_gds(library)
+
+    def test_non_rectangular_boundary_rejected(self, counter_stack, pdk):
+        mapped, _, data = counter_stack
+        blob = plant_polygon(data)
+        xy = len(data) - 8 + 4 + 6 + 6  # BOUNDARY, LAYER, DATATYPE
+        with pytest.raises(
+            ValueError,
+            match=f"XY record at offset {xy} is not a closed axis-aligned "
+            r"rectangle \(7 points\)",
+        ):
+            read_gds(blob)
+        report = run_lvs(blob, mapped, pdk)
+        assert not report.clean
+        assert any("unreadable GDSII stream" in m for m in report.mismatches)
 
     def test_endstr_without_struct_skipped(self):
         # ENDSTR with no open structure parses to an empty library.
@@ -346,7 +362,7 @@ class TestGdsHardening:
                 s.name for s in library.structs
             ]
             for original, copy in zip(library.structs, parsed.structs):
-                assert copy.boundaries == original.boundaries
+                assert np.array_equal(copy.boundaries, original.boundaries)
                 assert copy.srefs == original.srefs
                 assert copy.texts == original.texts
 
@@ -398,8 +414,7 @@ class TestIdentify:
         victim = next(
             s for s in library.structs if s.name in pdk.library.cells
         )
-        boundary = victim.boundaries[0]
-        boundary.points = [(x + 2, y) for x, y in boundary.points]
+        victim.boundaries[0, [2, 4]] += 2
         _, mismatches = identify_masters(
             library, library.struct(mapped.name), pdk
         )
@@ -540,6 +555,24 @@ class TestFlowIntegration:
         connect = spans["extract.connect"].attributes
         assert connect["candidate_pairs"] >= connect["edges"] > 0
         assert spans["drc.flatten"].attributes["rects"] > 0
+
+
+    def test_layout_spans_carry_counts(self, flow_result):
+        spans = {span.name: span for span in flow_result.trace}
+        build = spans["layout.build"]
+        assert build.parent_id == spans["step.design_rule_check"].span_id
+        library = read_gds(flow_result.gds_bytes)
+        top = infer_top(library)
+        net = int((top.boundaries[:, 1] == NET_DATATYPE).sum())
+        assert build.attributes == {
+            "drawing_rects": len(top.boundaries) - net,
+            "net_rects": net,
+            "srefs": len(top.srefs),
+            "masters": len(library.structs) - 1,
+        }
+        write = spans["gds.write"]
+        assert write.parent_id == spans["step.gds_export"].span_id
+        assert write.attributes["bytes"] == len(flow_result.gds_bytes)
 
 
 class TestCli:
