@@ -24,7 +24,9 @@ trojan taxonomy at mask level:
 
 Not every class applies to every layout (a single-row design may route
 without ``via1`` cuts); inapplicable kinds raise :class:`ValueError`
-and callers skip or pick another seed.
+and callers skip or pick another seed.  :func:`plant_polygon` is the
+stream-level drill: a boundary that is not a rectangle, which the
+reader must refuse.
 """
 
 from __future__ import annotations
@@ -34,22 +36,8 @@ import struct
 
 import numpy as np
 
-from ..layout.gds import (
-    BOUNDARY,
-    DATATYPE,
-    DT_INT16,
-    DT_INT32,
-    DT_NONE,
-    ENDEL,
-    ENDLIB,
-    ENDSTR,
-    LAYER,
-    XY,
-    GdsSRef,
-    _record,
-    read_gds,
-    write_gds,
-)
+from ..layout import gds
+from ..layout.gds import GdsSRef, read_gds, write_gds
 from ..pdk.layers import NET_DATATYPE
 from .identify import infer_top
 
@@ -142,19 +130,20 @@ def plant_polygon(data: bytes) -> bytes:
     for the reader's rectangles-only rule.  Its bounding box is a clean
     2x2 um square, so a checker that took boundaries as their bounding
     boxes would sign it off."""
-    tail = _record(ENDSTR, DT_NONE) + _record(ENDLIB, DT_NONE)
+    tail = (gds._record(gds.ENDSTR, gds.DT_NONE)
+            + gds._record(gds.ENDLIB, gds.DT_NONE))
     if not data.endswith(tail):
         raise ValueError("stream does not end with ENDSTR, ENDLIB")
     ring = ((0, 0), (2000, 0), (2000, 2), (2, 2), (2, 2000), (0, 2000),
             (0, 0))
-    element = (
-        _record(BOUNDARY, DT_NONE)
-        + _record(LAYER, DT_INT16, struct.pack(">h", _MET1))
-        + _record(DATATYPE, DT_INT16, struct.pack(">h", 0))
-        + _record(XY, DT_INT32, struct.pack(
+    element = b"".join(gds._record(*fields) for fields in (
+        (gds.BOUNDARY, gds.DT_NONE),
+        (gds.LAYER, gds.DT_INT16, struct.pack(">h", _MET1)),
+        (gds.DATATYPE, gds.DT_INT16, struct.pack(">h", 0)),
+        (gds.XY, gds.DT_INT32, struct.pack(
             f">{2 * len(ring)}i",
             *(v + 1000 for point in ring for v in point),
-        ))
-        + _record(ENDEL, DT_NONE)
-    )
+        )),
+        (gds.ENDEL, gds.DT_NONE),
+    ))
     return data[:-len(tail)] + element + tail

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..obs.trace import get_tracer
 from ..pdk.layers import LayerStack
-from .gds import DB_UNIT_IN_UM, GdsLibrary, GdsStruct, from_db
+from .gds import DB_UNIT_IN_UM, GdsLibrary, from_db
 from .geometry import Rect
 
 
@@ -53,25 +53,28 @@ class DrcReport:
         return f"DRC {status} ({self.checked_rects} rects checked)"
 
 
-def _placements(
-    by_name: dict[str, GdsStruct], top_name: str
-) -> tuple[list[str], list[float], list[float]]:
-    """Every placement of a structure below ``top_name`` (itself
-    included) in depth-first emission order: a structure's own shapes
-    come before those of the structures it places.  Returns the
-    structure names and the x and y offsets in micrometres."""
+def _flatten(
+    library: GdsLibrary, top_name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(layer/datatype rows (n, 2), coordinates (n, 4) in um)`` of
+    every boundary with SREFs resolved, in depth-first emission order:
+    a structure's own shapes come before those of the ones it places.
+
+    All placements are translated in one gather over the concatenated
+    boundary rows of the structures they place.  Coordinates are scaled
+    to micrometres and then offset, exactly as ``from_db(x) + dx``.
+    """
+    by_name = {s.name: s for s in library.structs}
     names: list[str] = []
-    xs: list[float] = []
-    ys: list[float] = []
+    offsets: list[tuple[float, float]] = []
 
     def visit(name: str, dx: float, dy: float, depth: int) -> None:
         if depth > 8:
             raise ValueError("SREF nesting too deep (cycle?)")
-        struct = by_name[name]
+        srefs = by_name[name].srefs
         names.append(name)
-        xs.append(dx)
-        ys.append(dy)
-        for sref in struct.srefs:
+        offsets.append((dx, dy))
+        for sref in srefs:
             visit(
                 sref.struct_name,
                 dx + from_db(sref.position[0]),
@@ -80,21 +83,6 @@ def _placements(
             )
 
     visit(top_name, 0.0, 0.0, 0)
-    return names, xs, ys
-
-
-def _flatten(
-    library: GdsLibrary, top_name: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(layer/datatype rows (n, 2), coordinates (n, 4) in um)`` of
-    every boundary with SREFs resolved, in depth-first emission order.
-
-    All placements are translated in one gather over the concatenated
-    boundary rows of the structures they place.  Coordinates are scaled
-    to micrometres and then offset, exactly as ``from_db(x) + dx``.
-    """
-    by_name = {s.name: s for s in library.structs}
-    names, xs, ys = _placements(by_name, top_name)
     placed = list(dict.fromkeys(names))
     slot = {name: index for index, name in enumerate(placed)}
     rows = np.concatenate([by_name[name].boundaries for name in placed])
@@ -110,8 +98,8 @@ def _flatten(
         + np.repeat(starts[which] - first, counts)
     )
     flat = rows[gather]
-    offsets = np.repeat(np.column_stack((xs, ys)), counts, axis=0)
-    coords = flat[:, 2:] * DB_UNIT_IN_UM + np.hstack((offsets, offsets))
+    shift = np.repeat(np.array(offsets), counts, axis=0)
+    coords = flat[:, 2:] * DB_UNIT_IN_UM + np.hstack((shift, shift))
     return flat[:, :2], coords
 
 

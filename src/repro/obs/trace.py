@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed operation in a trace tree."""
 

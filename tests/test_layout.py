@@ -273,6 +273,8 @@ class TestRectangleCodec:
             "clockwise": lambda e: _element(e[0], e[1], e[2][::-1]),
             "rotated": lambda e: _element(
                 e[0], e[1], e[2][1:4] + e[2][:2]),
+            "unclosed": lambda e: _element(
+                e[0], e[1], e[2][:4] + [(e[2][4][0], e[2][4][1] + 1)]),
             "not_rect": lambda e: _element(
                 e[0], e[1], [e[2][0], (e[2][1][0] + 1, e[2][1][1])]
                 + e[2][2:]),
