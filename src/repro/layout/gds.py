@@ -337,8 +337,6 @@ def _rect_run(data: bytes, offset: int) -> np.ndarray:
         offset += count * size
         available -= count
         chunk *= 4
-    if len(runs) == 1:
-        return runs[0]
     return np.concatenate(runs) if runs else rect_array(())
 
 
@@ -367,7 +365,6 @@ def _parse(data: bytes) -> tuple[GdsLibrary, int]:
     record goes through the loop, frequent types tested first and
     decoded in place, without copying their payload."""
     unpack_from = struct.unpack_from
-    rect_run = _rect_run
     offset = records = 0
     library = GdsLibrary(name="")
     current: GdsStruct | None = None
@@ -405,7 +402,7 @@ def _parse(data: bytes) -> tuple[GdsLibrary, int]:
                 f"({length} bytes declared, {len(data) - offset} left)"
             )
         if rtype == BOUNDARY and current is not None:
-            run = rect_run(data, offset)
+            run = _rect_run(data, offset)
             if len(run):
                 if rows:
                     runs.append(rect_array(rows))
@@ -485,9 +482,7 @@ def _parse(data: bytes) -> tuple[GdsLibrary, int]:
             if current is not None:
                 if rows:
                     runs.append(rect_array(rows))
-                if len(runs) == 1:
-                    current.boundaries = runs[0]
-                elif runs:
+                if runs:
                     current.boundaries = np.concatenate(runs)
                 library.structs.append(current)
             current = None

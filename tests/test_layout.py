@@ -206,7 +206,7 @@ class TestRectangleCodec:
 
     @pytest.mark.parametrize("ring, count", [
         # L-shaped met1 with 2 nm arms: its bounding box is a clean
-        # 2x2 um square.
+        # 2x2 um square, which DRC used to check in its place.
         ([(0, 0), (2000, 0), (2000, 2), (2, 2), (2, 2000), (0, 2000),
           (0, 0)], 7),
         ([(0, 0), (20, 0), (20, 30), (0, 30), (0, 1)], 5),  # unclosed
@@ -222,13 +222,6 @@ class TestRectangleCodec:
             rf"rectangle \({count} points\)"
         ):
             read_gds(data)
-
-    def test_l_shape_no_longer_drc_clean(self):
-        """It used to be checked as its 2x2 um bounding box: clean."""
-        l_shape = [(0, 0), (2000, 0), (2000, 2), (2, 2), (2, 2000),
-                   (0, 2000), (0, 0)]
-        with pytest.raises(ValueError, match="not a closed axis-aligned"):
-            read_gds(_stream(_element(10, 0, l_shape)))
 
     def test_writer_rejects_out_of_range_rows(self):
         library = GdsLibrary("lib")
