@@ -39,10 +39,16 @@ def result_cache_key(module, pdk_name: str, options: FlowOptions) -> str:
     """Content hash of one memoizable flow request.
 
     Base payload identical to the checkpoint key (RTL, PDK, preset,
-    seed); the remaining result-affecting option knobs fold in through
-    the shared key function's ``extra`` channel.
+    seed); the remaining result-affecting option knobs, and whether an
+    eco session (:mod:`repro.inter`) synthesizes, fold in through the
+    shared key function's ``extra`` channel.
     """
     extra = {name: getattr(options, name) for name in RESULT_KEY_FIELDS}
+    if options.eco is not None:
+        # A Workspace's stitched netlist differs from flat synthesis, so
+        # its results must never serve a plain run_flow request, nor
+        # the other way round.
+        extra["eco"] = True
     return flow_cache_key(
         module, pdk_name, options.preset, options.seed, extra=extra
     )

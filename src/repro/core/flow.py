@@ -470,7 +470,12 @@ def run_flow(
 
     ckpt: StageCheckpointer | None = None
     if opts.checkpoints is not None:
-        key = flow_cache_key(module, pdk.name, preset, opts.seed)
+        # Stitched (eco) synthesis names and counts cells unlike flat
+        # synthesis, so the two must never share stage checkpoints.
+        key = flow_cache_key(
+            module, pdk.name, preset, opts.seed,
+            extra={"eco": True} if opts.eco is not None else None,
+        )
         ckpt = StageCheckpointer(opts.checkpoints, key, resume=opts.resume)
 
     with tracer.span(
@@ -609,7 +614,6 @@ def run_flow(
                     metrics=metrics,
                     checkpoints=ckpt,
                     inject=opts.inject,
-                    eco=opts.eco,
                 )
             except InjectedFault as exc:
                 backend_failure = (

@@ -68,11 +68,12 @@ class FlowOptions:
         default=None, compare=False, repr=False
     )
     #: Incremental-compilation engine session (:mod:`repro.inter`).  Like
-    #: ``checkpoints``/``inject`` this is injected machinery, not part of
-    #: the request identity: the flow consults it for memoized per-module
-    #: synthesis/lint and verified-replay routing, and every engine is
-    #: deterministic-modulo-memo, so a warm session and a cold one produce
-    #: byte-identical results for the same design.
+    #: ``checkpoints``/``inject`` this is injected machinery, not compared:
+    #: the flow consults it for memoized per-module lint and synthesis,
+    #: and both are deterministic-modulo-memo, so a warm session and a
+    #: cold one produce byte-identical results for the same design.  The
+    #: stitched netlist names and counts cells unlike flat synthesis, so
+    #: the result-cache and checkpoint keys do tell eco runs apart.
     eco: object | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):

@@ -9,17 +9,17 @@ scale without giving up any signoff guarantee:
   ripple-aware dirty set;
 * :mod:`~repro.inter.stitch` — memoized per-module synthesis and the
   deterministic netlist stitcher;
-* :mod:`~repro.inter.replay` — verified-replay routing (recorded maze
-  paths substituted only when provably unaffected);
-* :mod:`~repro.inter.session` — the :class:`EcoSession` engine bundle
-  injected into :func:`~repro.core.run_flow` via ``FlowOptions.eco``;
+* :mod:`~repro.inter.session` — the :class:`EcoSession` memos (lint and
+  synthesis) injected into :func:`~repro.core.run_flow` via
+  ``FlowOptions.eco``;
 * :mod:`~repro.inter.workspace` — the :class:`Workspace` session API:
   ``open`` once, ``edit`` in a loop, every patch proved by a
   cone-limited LEC miter with a full-rebuild fallback.
 
-Everything is deterministic-modulo-memo: an incremental run and a
-from-scratch rebuild of the same design produce byte-identical flow
-results and GDS.
+Only synthesis is incremental.  Placement and routing are the flow's
+own backend, run in full on the stitched netlist each edit.  Everything
+is deterministic-modulo-memo: an incremental run and a from-scratch
+rebuild of the same design produce byte-identical flow results and GDS.
 """
 
 from .hashes import (
@@ -30,7 +30,6 @@ from .hashes import (
     module_table,
     strip_module,
 )
-from .replay import ReplayRouter, RouteBaseline, replay_route
 from .session import EcoSession
 from .stitch import Shard, instance_paths, shard_memo_key, stitch, \
     synthesize_shard
@@ -40,8 +39,6 @@ __all__ = [
     "EcoSession",
     "EditReport",
     "InterError",
-    "ReplayRouter",
-    "RouteBaseline",
     "Shard",
     "Workspace",
     "content_hash",
@@ -50,7 +47,6 @@ __all__ = [
     "instance_paths",
     "module_keys",
     "module_table",
-    "replay_route",
     "shard_memo_key",
     "stitch",
     "strip_module",

@@ -1,23 +1,22 @@
 """The incremental-compilation engine behind a :class:`Workspace`.
 
 An :class:`EcoSession` is handed to :func:`repro.core.run_flow` through
-``FlowOptions.eco`` and replaces three stages with memoizing engines:
+``FlowOptions.eco`` and replaces two stages with memoizing engines:
 
 * **lint** — the top-module RTL report is memoized on the module's
   content hash (the flow lints the top module; a clean top is a memo
   hit);
 * **synthesis** — every unique module is synthesized once on its
   stripped form and the full mapped netlist is stitched from shards
-  (:mod:`repro.inter.stitch`);
-* **routing** — the verified-replay router substitutes recorded paths
-  whose cost landscape provably did not change
-  (:mod:`repro.inter.replay`).
+  (:mod:`repro.inter.stitch`).
 
-All three are deterministic-modulo-memo: a memo hit returns exactly
-what a recompute would, so a warm session and a fresh cold one produce
-byte-identical flow results.  The session itself carries no design
-state besides memos — the :class:`~repro.inter.workspace.Workspace`
-owns the edit loop.
+Both are deterministic-modulo-memo: a memo hit returns exactly what a
+recompute would, so a warm session and a fresh cold one produce
+byte-identical flow results.  The physical backend is the flow's own
+(:func:`repro.pnr.implement` with the preset's placer), run in full on
+the stitched netlist.  The session itself carries no design state
+besides memos — the :class:`~repro.inter.workspace.Workspace` owns the
+edit loop.
 """
 
 from __future__ import annotations
@@ -30,37 +29,24 @@ from ..lint import LintReport, Waiver, lint_module
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Tracer, get_tracer
 from ..pdk.cells import Library
-from ..pdk.node import ProcessNode
-from ..pnr.placement import Placement
-from ..pnr.route import RoutingResult
 from ..resil.cachekey import canonical
-from ..synth.mapped import MappedNetlist
 from ..synth.mapper import MapStats
 from ..synth.opt import OptStats
 from ..synth.sizing import SizingStats
 from ..synth.synthesize import SynthesisResult
 from ..synth.verify import check_equivalence
 from .hashes import content_hash, module_table
-from .replay import ReplayRouter, RouteBaseline
 from .stitch import Shard, instance_paths, shard_memo_key, stitch, \
     synthesize_shard
 
 
-#: Rip-up iteration ceiling for session routing.  The classic flow caps
-#: at 8 rounds and accepts residual overflow; an edit session instead
-#: routes to convergence, because rounds that end (overflow 0) are
-#: rounds a warm rerun can replay instead of churning through live.
-ECO_ROUTE_ITERATIONS = 32
-
-
 class EcoSession:
-    """Memo stores plus the three stage engines of one edit session."""
+    """Memo stores plus the two stage engines of one edit session."""
 
     def __init__(self, metrics: MetricsRegistry | None = None):
         self.metrics = metrics if metrics is not None else get_metrics()
         self._shards: dict[str, Shard] = {}
         self._lint_memo: dict[str, LintReport] = {}
-        self._route_baseline: RouteBaseline | None = None
 
     # -- lint ----------------------------------------------------------------
 
@@ -190,29 +176,3 @@ class EcoSession:
             equivalence=equivalence,
             rtl_lines=rtl_lines,
         )
-
-    # -- routing -------------------------------------------------------------
-
-    def route(
-        self,
-        mapped: MappedNetlist,
-        placement: Placement,
-        node: ProcessNode,
-        rip_up: bool = True,
-        capacity: int = 4,
-        max_iterations: int = 8,
-        tracer: Tracer | None = None,
-    ) -> RoutingResult:
-        """Route with verified replay against the session baseline."""
-        router = ReplayRouter(
-            mapped, placement, node, capacity=capacity, tracer=tracer
-        )
-        result, baseline, stats = router.route_with_baseline(
-            self._route_baseline,
-            max_iterations=max(max_iterations, ECO_ROUTE_ITERATIONS),
-            rip_up=rip_up,
-        )
-        self._route_baseline = baseline
-        self.metrics.counter("inter.route.replayed").inc(stats.replayed)
-        self.metrics.counter("inter.route.routed").inc(stats.routed)
-        return result

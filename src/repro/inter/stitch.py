@@ -109,6 +109,14 @@ def instance_paths(top: Module) -> list[tuple[str, Module]]:
     return paths
 
 
+def cell_region(name: str) -> str:
+    """Instance path of a stitched cell name (its ``{path}.`` prefix).
+
+    Top-level cells (``u3_NAND2``) map to the root path ``""``.
+    """
+    return name.rpartition(".")[0]
+
+
 def _block_size(n_nets: int) -> int:
     """Power-of-two block covering ``n_nets`` ids with >=2x headroom."""
     return 1 << max(5, (2 * max(1, n_nets)).bit_length())

@@ -11,10 +11,9 @@ memos and the last :class:`~repro.core.flow.FlowResult`.
    a dirty set — a comment or formatting edit canonicalizes to an
    empty dirty set and returns the previous result untouched;
 3. re-runs the flow through the warm session: clean modules hit the
-   synthesis memo, the stitched netlist patches only the dirty shards'
-   net blocks, untouched regions keep seed-stable placements, and the
-   verified-replay router substitutes every recorded path whose cost
-   landscape provably did not change;
+   synthesis memo and the stitched netlist patches only the dirty
+   shards' net blocks; placement and routing are the flow's own backend
+   (the preset's placer, the 8-round router), run in full;
 4. proves the patch with a cone-limited LEC miter over the *dirty
    cones* — the forward taint closure of the dirty shards' cells.  The
    shard boundary makes the taint sound: a shard sees its children's
@@ -28,13 +27,13 @@ memos and the last :class:`~repro.core.flow.FlowResult`.
 Any structural anomaly — an :class:`~repro.inter.hashes.InterError`
 from the stitcher, a failed flow, a refuted or inconclusive cone proof
 — falls back to a full rebuild on a fresh session, with a full LEC.
-Because every eco engine is deterministic-modulo-memo, the incremental
+Because both eco memos are deterministic-modulo-memo, the incremental
 result and the fallback rebuild are byte-identical either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core.flow import FlowError, FlowResult, run_flow
 from ..core.options import FlowOptions
@@ -46,11 +45,10 @@ from ..hdl.verilog_parser import parse_verilog
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.trace import Tracer, get_tracer
 from ..pdk.pdks import Pdk
-from ..pnr.hier import cell_region
 from ..synth.mapped import MappedNetlist
 from .hashes import InterError, dirty_modules, module_keys, module_table
 from .session import EcoSession
-from .stitch import instance_paths
+from .stitch import cell_region, instance_paths
 
 
 @dataclass
@@ -227,12 +225,13 @@ class Workspace:
         """Run one full flow over ``design`` and keep the session warm.
 
         ``options`` follows :func:`~repro.core.run_flow` conventions (a
-        :class:`FlowOptions`, a preset, a preset name, or ``None``); the
-        preset's placer is overridden to the region-stable ``"hier"``
-        placer, which both incremental and fallback rebuilds share.
-        ``cache`` (a :class:`~repro.resil.store.BlobStore`) serves
-        the opening flow from the campaign's memo when it already holds
-        an identical request.
+        :class:`FlowOptions`, a preset, a preset name, or ``None``) and
+        runs the preset's own backend.  ``cache`` (a
+        :class:`~repro.resil.store.BlobStore`) serves the opening flow
+        from the campaign's memo when it already holds a result of an
+        earlier :meth:`open` with the same request; a plain
+        :func:`~repro.core.run_flow` result never serves it, since the
+        stitched netlist differs from flat synthesis.
         """
         if options is None:
             opts = FlowOptions()
@@ -251,9 +250,7 @@ class Workspace:
         tracer = tracer if tracer is not None else get_tracer()
         metrics = metrics if metrics is not None else get_metrics()
         session = EcoSession(metrics)
-        opts = opts.with_overrides(
-            preset=replace(opts.preset, placer="hier"), eco=session
-        )
+        opts = opts.with_overrides(eco=session)
 
         with tracer.span("inter.open", design=design.name) as sp:
             cache_key = None

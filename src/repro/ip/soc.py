@@ -3,11 +3,9 @@
 ``make_soc`` stitches ten catalogue blocks into one top module — a
 counter and an LFSR drive a FIR filter, a multiplier and an ALU, whose
 result fans out into a FIFO-fed UART transmitter, a PWM, a shift
-register and a seven-segment decoder.  It is the design the incremental
-edit-loop benchmark (``benchmarks/bench_incremental.py``) edits one
-module of, and the stress case for hierarchical placement: every
-sub-block lands in its own region, so editing one leaves the rest at
-seed-stable positions.
+register and a seven-segment decoder.  It is the design the
+``repro edit --demo`` loop and the ``soc_edit_loop`` benchmark edit one
+module of at a time.
 
 The golden model composes the sub-IPs' own golden models in
 combinational dependency order, each with a private state slice — so
@@ -202,9 +200,7 @@ def make_soc() -> IpBlock:
             ),
             synthesis_hints={
                 "clock_period_ps": 6000.0,
-                "placer": "hier",
-                "notes": "largest catalogue design; use the hierarchical "
-                         "placer for stable incremental edits",
+                "notes": "largest catalogue design",
             },
             integration_notes=(
                 "Pure-synchronous single-clock design. `en` gates the "

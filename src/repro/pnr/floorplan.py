@@ -85,22 +85,12 @@ def make_floorplan(
     utilization: float = 0.7,
     aspect_ratio: float = 1.0,
     core_margin_rows: float = 2.0,
-    quantize_um2: float | None = None,
 ) -> Floorplan:
-    """Size the die and place IO pins for ``mapped`` on ``node``.
-
-    ``quantize_um2`` rounds the core area up to a multiple of that step
-    before sizing.  The hierarchical placer uses it so that small netlist
-    edits usually land in the same area bucket and the die (and with it
-    every IO pin and row coordinate) stays put — die size becomes a step
-    function of cell area instead of a continuous one.
-    """
+    """Size the die and place IO pins for ``mapped`` on ``node``."""
     if not 0.05 < utilization <= 1.0:
         raise ValueError(f"utilization {utilization} out of range")
     cell_area = mapped.area_um2()
     core_area = max(cell_area / utilization, node.row_height_um**2)
-    if quantize_um2 and quantize_um2 > 0:
-        core_area = math.ceil(core_area / quantize_um2) * quantize_um2
     core_height = math.sqrt(core_area / aspect_ratio)
     # Snap core height to a whole number of rows, using fewer rows when
     # needed so that every row is at least as wide as the widest cell.

@@ -24,7 +24,6 @@ from ..resil.faults import FaultInjector
 from ..synth.mapped import MappedNetlist
 from .cts import ClockTree, synthesize_clock_tree
 from .floorplan import Floorplan, make_floorplan
-from .hier import hier_place, hier_quantize_um2, hier_utilization
 from .placement import Placement, place, random_place
 from .route import RoutingResult, grid_capacity, route
 
@@ -77,7 +76,6 @@ def implement(
     metrics: MetricsRegistry | None = None,
     checkpoints: StageCheckpointer | None = None,
     inject: FaultInjector | None = None,
-    eco: object | None = None,
 ) -> PhysicalDesign:
     """Run the full backend on ``mapped`` with the given knobs.
 
@@ -92,14 +90,13 @@ def implement(
     (resilience drills) by raising
     :class:`~repro.resil.failure.InjectedFault`.
 
-    ``placer="hier"`` selects the region-stable hierarchical placer
-    (:mod:`repro.pnr.hier`): the floorplan is quantized so small netlist
-    edits keep the die, and each instance subtree places inside its own
-    region, so untouched logic keeps seed-stable positions across edits.
-    ``eco`` (an :class:`repro.inter.EcoSession`) replaces the routing
-    call with its verified-replay router — byte-identical to a cold
-    route, but substituting recorded paths whose cost landscape provably
-    did not change.
+    ``placer`` is ``"quadratic"`` (spreading plus Abacus row packing,
+    :func:`~repro.pnr.placement.place`) or ``"random"`` (the ablation
+    baseline).  Routing is :func:`~repro.pnr.route.route` with rip-up
+    capped at 8 rounds.  The interactive edit loop
+    (:class:`repro.inter.Workspace`) runs this same backend on its
+    stitched netlist, so an edit and a from-scratch build place and
+    route alike.
     """
     if tracer is None:
         tracer = get_tracer()
@@ -129,15 +126,8 @@ def implement(
         floorplan = restore("floorplan")
         if floorplan is None:
             floorplan = make_floorplan(
-                mapped, pdk.node,
-                utilization=(
-                    hier_utilization(mapped, pdk.node, utilization)
-                    if placer == "hier" else utilization
-                ),
+                mapped, pdk.node, utilization=utilization,
                 aspect_ratio=aspect_ratio,
-                quantize_um2=(
-                    hier_quantize_um2(pdk.node) if placer == "hier" else None
-                ),
             )
             preserve("floorplan", floorplan)
         else:
@@ -152,10 +142,6 @@ def implement(
                     mapped, floorplan,
                     detailed_passes=detailed_placement_passes, seed=seed,
                     tracer=tracer,
-                )
-            elif placer == "hier":
-                placement = hier_place(
-                    mapped, floorplan, seed=seed, tracer=tracer
                 )
             elif placer == "random":
                 placement = random_place(
@@ -183,17 +169,11 @@ def implement(
         drill("routing")
         routing = restore("routing")
         if routing is None:
-            capacity = grid_capacity(pdk.node, pdk.layers)
-            if eco is not None:
-                routing = eco.route(
-                    mapped, placement, pdk.node, rip_up=router_rip_up,
-                    capacity=capacity, max_iterations=8, tracer=tracer,
-                )
-            else:
-                routing = route(
-                    mapped, placement, pdk.node, rip_up=router_rip_up,
-                    capacity=capacity, max_iterations=8, tracer=tracer,
-                )
+            routing = route(
+                mapped, placement, pdk.node, rip_up=router_rip_up,
+                capacity=grid_capacity(pdk.node, pdk.layers),
+                max_iterations=8, tracer=tracer,
+            )
             preserve("routing", routing)
         else:
             sp.set(cached=True)

@@ -2,14 +2,16 @@
 
 Covers the dirty-set oracle's edge cases, the Workspace session API's
 guarantees (clean edits, incremental edits, fallback, byte identity with
-a from-scratch rebuild), the cone-limited LEC's must-fail guard against
-seeded netlist mutations, the replay router's divergence accounting, and
-the composed SoC catalogue entry the benchmark edits.
+a from-scratch rebuild, one physical backend shared with ``run_flow``,
+a result cache kept apart from ``run_flow``'s), the cone-limited LEC's
+must-fail guard against seeded netlist mutations, and the composed SoC
+catalogue entry the benchmark edits.
 """
 
 import pytest
 
-from repro.core import FlowOptions
+from repro.campaign import result_cache_key
+from repro.core import FlowOptions, run_flow
 from repro.formal import check_lec
 from repro.formal.lec import mutate_netlist
 from repro.hdl import ModuleBuilder, parse_verilog, to_verilog
@@ -23,11 +25,12 @@ from repro.inter import (
     module_table,
     substitute_module,
 )
-from repro.inter.replay import _Divergence
 from repro.ip import make_counter, make_pwm, make_seven_seg, make_soc
 from repro.ip.soc import sevenseg_recode_rtl
+from repro.layout import build_chip_gds, write_gds
 from repro.pdk import get_pdk
-from repro.pnr.hier import ROUTABILITY, hier_utilization
+from repro.pnr import implement
+from repro.resil import MemoryBlobStore
 
 OPTIONS = FlowOptions(clock_period_ps=4_000.0)
 
@@ -158,7 +161,7 @@ class TestWorkspace:
     def test_open_runs_full_flow(self, warm):
         assert warm.result.ok
         assert warm.result.gds_bytes is not None
-        assert warm.opts.preset.placer == "hier"
+        assert warm.opts.preset.placer == "quadratic"
         assert warm.edits == 0 and warm.fallbacks == 0
 
     def test_open_rejects_formal_lec_and_foreign_sessions(self):
@@ -228,6 +231,54 @@ class TestWorkspace:
         assert report.result.gds_bytes == cold.result.gds_bytes
 
 
+class TestOneBackend:
+    def test_workspace_places_and_routes_like_implement(self, warm):
+        """Edits run the flow's own backend, no placer or router of
+        their own."""
+        preset = OPTIONS.preset
+        physical = implement(
+            warm.result.synthesis.mapped,
+            warm.pdk,
+            utilization=preset.utilization,
+            detailed_placement_passes=preset.detailed_placement_passes,
+            cts_buffering=preset.cts_buffering,
+            router_rip_up=preset.router_rip_up,
+            placer=preset.placer,
+            seed=OPTIONS.seed,
+        )
+        assert warm.result.physical.placement == physical.placement
+        assert warm.result.physical.routing == physical.routing
+        assert write_gds(build_chip_gds(physical)) == warm.result.gds_bytes
+
+
+class TestWorkspaceStores:
+    """A workspace's results and checkpoints never mix with run_flow's."""
+
+    def test_run_flow_result_never_serves_open(self):
+        design, pdk = build_minisoc(), get_pdk("edu130")
+        store = MemoryBlobStore()
+        store.put(
+            result_cache_key(design, pdk.name, OPTIONS),
+            run_flow(design, pdk, options=OPTIONS),
+        )
+        cold = Workspace.open(design, pdk, options=OPTIONS, cache=store)
+        assert not cold.cache_hit
+
+        served = Workspace.open(design, pdk, options=OPTIONS, cache=store)
+        assert served.cache_hit
+        assert served.result.gds_bytes == cold.result.gds_bytes
+        assert served.result.to_json() == cold.result.to_json()
+
+    def test_run_flow_checkpoints_never_serve_open(self, warm):
+        design, pdk = build_minisoc(), get_pdk("edu130")
+        store = MemoryBlobStore()
+        options = OPTIONS.with_overrides(checkpoints=store)
+        run_flow(design, pdk, options=options)
+        ws = Workspace.open(design, pdk, options=options)
+        assert ws.result.gds_bytes == warm.result.gds_bytes
+        assert ws.result.to_json() == warm.result.to_json()
+
+
 class TestConeLecGuard:
     def test_seeded_mutation_must_fail(self, warm):
         """The acceptance guard: a rewired gate cannot slip past LEC."""
@@ -250,47 +301,6 @@ class TestConeLecGuard:
         cones = dirty_cones(warm.design, mapped, {"counter8"})
         verdict = check_lec(warm.design, mapped, cones=cones)
         assert verdict.equivalent
-
-
-class TestReplayDivergence:
-    def test_opposite_charges_cancel(self):
-        div = _Divergence()
-        div.charge_usage(("a", "b"), +1)
-        div.charge_usage(("a",), -1)
-        assert div.usage == {"b": 1}
-        assert div.cells == {"b"}
-        assert div.clean(frozenset(("a", "c")))
-        assert not div.clean(frozenset(("b",)))
-
-    def test_usage_and_history_tracked_independently(self):
-        div = _Divergence()
-        div.charge_usage(("a",), +1)
-        div.charge_hist(("a",), +1)
-        div.charge_usage(("a",), -1)
-        # The history delta keeps the cell divergent.
-        assert "a" in div.cells
-        div.charge_hist(("a",), -1)
-        assert div.cells == set()
-        assert div.usage == {} and div.hist == {}
-
-
-class TestHierUtilization:
-    def test_routability_derate_applied(self, warm):
-        mapped = warm.result.synthesis.mapped
-        node = get_pdk("edu130").node
-        effective = hier_utilization(mapped, node, 0.35)
-        # Bucketing and the routability derate both loosen the core.
-        assert 0.0 < effective < 0.35
-        assert 0.0 < ROUTABILITY < 1.0
-        # Pure function: warm and cold flows must size cores alike.
-        assert effective == hier_utilization(mapped, node, 0.35)
-
-    def test_empty_netlist_passthrough(self):
-        from repro.synth import MappedNetlist
-
-        pdk = get_pdk("edu130")
-        empty = MappedNetlist("void", pdk.library)
-        assert hier_utilization(empty, pdk.node, 0.4) == 0.4
 
 
 class TestSocCatalogueEntry:

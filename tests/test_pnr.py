@@ -185,9 +185,10 @@ class TestImplement:
         assert report["routing_overflow"] == 0
         assert design.wire_lengths()
 
-    def test_unknown_placer_rejected(self, counter_mapped, pdk):
-        with pytest.raises(ValueError):
-            implement(counter_mapped, pdk, placer="genetic")
+    @pytest.mark.parametrize("placer", ["genetic", "hier"])
+    def test_unknown_placer_rejected(self, counter_mapped, pdk, placer):
+        with pytest.raises(ValueError, match="unknown placer"):
+            implement(counter_mapped, pdk, placer=placer)
 
     def test_backend_feeds_sta(self, counter_mapped, pdk):
         from repro.sta import TimingAnalyzer
